@@ -43,7 +43,8 @@ mod tests {
 
     #[test]
     fn save_writes_json() {
-        let dir = std::env::temp_dir().join("ensemfdet_bench_output_test");
+        let dir_name = format!("ensemfdet_bench_output_test-{}", std::process::id());
+        let dir = std::env::temp_dir().join(dir_name);
         std::env::set_var("ENSEMFDET_RESULTS", &dir);
         save("smoke", &serde_json::json!({"x": 1}));
         let content = std::fs::read_to_string(dir.join("smoke.json")).unwrap();

@@ -82,11 +82,12 @@ pub(crate) fn sampling_method(args: &Args) -> Result<SamplingMethodConfig, Strin
     }
 }
 
-/// Ensemble timing: total wall-clock, per-sample mean/max, the speedup
-/// the worker pool actually realized (sum of sample times / wall-clock), the
-/// worker count with each worker's busy time, the per-stage CPU-time
-/// split (sampling / detection / aggregation), and the sampling data path
-/// with the bytes it materialized.
+/// Ensemble timing: total wall-clock, per-sample mean/max, the sample
+/// overlap (sum of sample times / wall-clock: how many samples were in
+/// flight on average — not a speedup, since contention stretches every
+/// sample's own time), the worker count with each worker's busy time, the
+/// per-stage CPU-time split (sampling / detection / aggregation), and the
+/// sampling data path with the bytes it materialized.
 pub(crate) fn timing_summary(path: SamplePath, outcome: &EnsembleOutcome) -> String {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let n = outcome.samples.len().max(1);
@@ -100,7 +101,7 @@ pub(crate) fn timing_summary(path: SamplePath, outcome: &EnsembleOutcome) -> Str
     let busy_mean =
         outcome.worker_times.iter().map(|d| ms(*d)).sum::<f64>() / outcome.workers.max(1) as f64;
     format!(
-        "timing: {:.1} ms wall-clock over {} samples; per-sample mean {:.1} ms, max {:.1} ms; realized speedup {:.1}x\n\
+        "timing: {:.1} ms wall-clock over {} samples; per-sample mean {:.1} ms, max {:.1} ms; sample overlap {:.1}x\n\
          workers: {} (busy mean {:.1} ms, max {:.1} ms)\n\
          stages: sampling {:.1} ms, detection {:.1} ms, aggregation {:.1} ms (CPU time summed over samples)\n\
          sample path: {path}, {} bytes materialized ({:.0} per sample)",
@@ -289,9 +290,8 @@ mod tests {
         Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn graph_file() -> String {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_detect");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn graph_file(test: &str) -> String {
+        let dir = crate::test_dir(module_path!(), test);
         let path = dir.join("g.edges");
         let mut b = GraphBuilder::new();
         for u in 0..8u32 {
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn ensemfdet_detects_block() {
-        let gf = graph_file();
+        let gf = graph_file("ensemfdet_detects_block");
         let out = run(&args(&[
             "--graph", &gf, "--samples", "10", "--ratio", "0.5", "--threshold", "8",
         ]))
@@ -318,8 +318,8 @@ mod tests {
 
     #[test]
     fn scoring_flag_runs_hybrid_and_reports() {
-        let gf = graph_file();
-        let dir = std::env::temp_dir().join("ensemfdet_cli_detect");
+        let gf = graph_file("scoring_flag_runs_hybrid_and_reports");
+        let dir = crate::test_dir(module_path!(), "scoring_flag_runs_hybrid_and_reports");
         let scores = dir.join("hybrid.tsv");
         let out = run(&args(&[
             "--graph",
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn scoring_flag_determinism_and_validation() {
-        let gf = graph_file();
+        let gf = graph_file("scoring_flag_determinism_and_validation");
         let base = &["--graph", gf.as_str(), "--samples", "8", "--ratio", "0.5"];
         let one = run(&args(&[base as &[_], &["--scoring", "hybrid"]].concat())).unwrap();
         let two = run(&args(&[base as &[_], &["--scoring", "hybrid"]].concat())).unwrap();
@@ -362,13 +362,16 @@ mod tests {
 
     #[test]
     fn timing_flag_reports_breakdown() {
-        let gf = graph_file();
+        let gf = graph_file("timing_flag_reports_breakdown");
         let out = run(&args(&[
             "--graph", &gf, "--samples", "6", "--ratio", "0.5", "--timing",
         ]))
         .unwrap();
         assert!(out.contains("wall-clock over 6 samples"), "{out}");
         assert!(out.contains("per-sample mean"), "{out}");
+        // Σ per-sample ÷ wall is an overlap, never reported as a speedup.
+        assert!(out.contains("sample overlap"), "{out}");
+        assert!(!out.contains("speedup"), "{out}");
         assert!(out.contains("stages: sampling"), "{out}");
         assert!(out.contains("sample path: mask"), "{out}");
         assert!(out.contains("bytes materialized"), "{out}");
@@ -377,7 +380,7 @@ mod tests {
 
     #[test]
     fn workers_flag_is_result_invariant_and_reported() {
-        let gf = graph_file();
+        let gf = graph_file("workers_flag_is_result_invariant_and_reported");
         let base = &["--graph", gf.as_str(), "--samples", "6", "--ratio", "0.5"];
         let one = run(&args(&[base as &[_], &["--workers", "1"]].concat())).unwrap();
         let four = run(&args(&[base as &[_], &["--workers", "4"]].concat())).unwrap();
@@ -392,7 +395,7 @@ mod tests {
 
     #[test]
     fn sample_path_flag_selects_path_and_agrees() {
-        let gf = graph_file();
+        let gf = graph_file("sample_path_flag_selects_path_and_agrees");
         let base = &["--graph", gf.as_str(), "--samples", "6", "--ratio", "0.5"];
         let mask =
             run(&args(&[base as &[_], &["--sample-path", "mask"]].concat())).unwrap();
@@ -412,7 +415,7 @@ mod tests {
 
     #[test]
     fn engine_flag_selects_engine_and_agrees() {
-        let gf = graph_file();
+        let gf = graph_file("engine_flag_selects_engine_and_agrees");
         let base = &["--graph", gf.as_str(), "--samples", "6", "--ratio", "0.5"];
         let csr = run(&args(&[base as &[_], &["--engine", "csr"]].concat())).unwrap();
         for engine in ["naive", "bucket", "bucket-batch"] {
@@ -425,7 +428,7 @@ mod tests {
 
     #[test]
     fn every_method_runs() {
-        let gf = graph_file();
+        let gf = graph_file("every_method_runs");
         let out = run(&args(&["--graph", &gf, "--method", "fraudar", "--k", "5"])).unwrap();
         assert!(out.contains("detected"), "fraudar: {out}");
         for m in ["spoken", "fbox", "hits", "kcore", "degree"] {
@@ -436,8 +439,8 @@ mod tests {
 
     #[test]
     fn out_and_scores_files_are_written() {
-        let gf = graph_file();
-        let dir = std::env::temp_dir().join("ensemfdet_cli_detect");
+        let gf = graph_file("out_and_scores_files_are_written");
+        let dir = crate::test_dir(module_path!(), "out_and_scores_files_are_written");
         let flagged = dir.join("flagged.txt");
         let scores = dir.join("scores.tsv");
         run(&args(&[
@@ -461,21 +464,21 @@ mod tests {
 
     #[test]
     fn unknown_method_rejected() {
-        let gf = graph_file();
+        let gf = graph_file("unknown_method_rejected");
         let err = run(&args(&["--graph", &gf, "--method", "magic"])).unwrap_err();
         assert!(err.contains("magic"));
     }
 
     #[test]
     fn unknown_option_rejected() {
-        let gf = graph_file();
+        let gf = graph_file("unknown_option_rejected");
         let err = run(&args(&["--graph", &gf, "--threshhold", "3"])).unwrap_err();
         assert!(err.contains("threshhold"));
     }
 
     #[test]
     fn fraudar_scores_request_is_an_error() {
-        let gf = graph_file();
+        let gf = graph_file("fraudar_scores_request_is_an_error");
         let err = run(&args(&[
             "--graph", &gf, "--method", "fraudar", "--scores", "/tmp/s.tsv",
         ]))

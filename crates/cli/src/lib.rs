@@ -76,6 +76,17 @@ pub fn run(argv: &[String]) -> Result<String, String> {
     }
 }
 
+/// A temporary directory for one test, unique to its module (pass
+/// `module_path!()`), its name and the test process, so tests running in
+/// parallel never share files.
+#[cfg(test)]
+pub(crate) fn test_dir(module: &str, test: &str) -> std::path::PathBuf {
+    let module = module.replace("::", "-");
+    let dir = std::env::temp_dir().join(format!("ensemfdet-{module}-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,8 +115,7 @@ mod tests {
 
     #[test]
     fn full_workflow_through_the_cli() {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_workflow");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir(module_path!(), "full_workflow_through_the_cli");
         let stem = dir.join("ds");
         let stem_s = stem.to_str().unwrap();
 

@@ -230,9 +230,11 @@ pub struct EnsembleOutcome {
 }
 
 impl EnsembleOutcome {
-    /// Sum of per-sample wall-clock — what a fully parallel machine
-    /// overlaps; `sum / elapsed` is the realized speedup, `sum / max` the
-    /// ideal one.
+    /// Sum of per-sample wall-clock. `sum / elapsed` is the sample overlap —
+    /// how many samples were in flight on average — not a speedup: under
+    /// contention each sample's own time grows, which inflates the ratio.
+    /// A speedup is the wall time at one worker divided by the wall time at
+    /// `w`, measured in separate runs.
     pub fn total_sample_time(&self) -> Duration {
         self.samples.iter().map(|s| s.elapsed).sum()
     }

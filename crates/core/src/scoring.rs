@@ -30,7 +30,7 @@
 use crate::aggregate::VoteTally;
 use crate::detector::DetectContext;
 use ensemfdet_graph::{core_decomposition, UserId};
-use ensemfdet_linalg::{randomized_svd, SvdOptions};
+use ensemfdet_linalg::{randomized_svd, CsrMatrix, Svd, SvdOptions};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -374,6 +374,15 @@ pub struct HybridScanScores {
 /// (SpokEn's spoke statistic), clamped to `[0, 1]`. Deterministic in
 /// `(graph, components, seed)`.
 pub fn spectral_scores(ctx: &DetectContext<'_>, config: &ScoringConfig) -> Vec<f64> {
+    spectral_scores_with(ctx, config, randomized_svd)
+}
+
+/// [`spectral_scores`] with the truncated SVD supplied by the caller.
+fn spectral_scores_with(
+    ctx: &DetectContext<'_>,
+    config: &ScoringConfig,
+    svd: fn(&CsrMatrix, usize, SvdOptions) -> Svd,
+) -> Vec<f64> {
     let g = ctx.graph();
     let k = config
         .spectral_components
@@ -382,7 +391,7 @@ pub fn spectral_scores(ctx: &DetectContext<'_>, config: &ScoringConfig) -> Vec<f
     if k == 0 || g.num_edges() == 0 {
         return vec![0.0; g.num_users()];
     }
-    let svd = randomized_svd(
+    let svd = svd(
         ctx.adjacency(),
         k,
         SvdOptions {
@@ -720,6 +729,44 @@ mod tests {
         // The planted block sits deeper in the core structure than the
         // degree-1 background.
         assert!(cores[0] > cores[20]);
+    }
+
+    /// The spectral component through CholeskyQR2 matches the serial MGS2
+    /// reference pipeline to 1e-10 on generated jd3/400 graphs, and the
+    /// hybrid-flagged set it feeds is the same.
+    #[test]
+    fn spectral_scores_match_the_mgs2_reference_pipeline() {
+        use crate::ensemble::{EnsemFdet, EnsemFdetConfig};
+        use ensemfdet_datagen::presets::{jd_preset, JdDataset};
+        use ensemfdet_linalg::randomized_svd_reference;
+
+        for seed in [1, 2, 3] {
+            let g = ensemfdet_datagen::generate(&jd_preset(JdDataset::Jd3, 400, seed)).graph;
+            let ctx = DetectContext::new(&g);
+            let cfg = ScoringConfig::enabled();
+            let config = EnsemFdetConfig {
+                num_samples: 6,
+                sample_ratio: 0.2,
+                ..Default::default()
+            };
+            let votes = EnsemFdet::new(config).detect(&g).votes;
+            let out = hybrid_scan_scores(&ctx, &votes, &cfg);
+
+            let oracle = spectral_scores_with(&ctx, &cfg, randomized_svd_reference);
+            let diff = out
+                .spectral
+                .iter()
+                .zip(&oracle)
+                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+            assert!(diff <= 1e-10, "seed {seed}: max |Δ spectral| = {diff:e}");
+            let oracle_hybrid = HybridScorer::new(cfg).fuse(&out.vote, &oracle, &out.kcore);
+            let oracle_flagged: Vec<UserId> = (0..g.num_users())
+                .filter(|&u| oracle_hybrid[u] >= cfg.hybrid_threshold)
+                .map(|u| UserId(u as u32))
+                .collect();
+            assert!(!oracle_flagged.is_empty(), "seed {seed}: nothing flagged");
+            assert_eq!(out.hybrid_flagged, oracle_flagged, "seed {seed}");
+        }
     }
 
     #[test]

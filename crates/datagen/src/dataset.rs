@@ -132,7 +132,8 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("ensemfdet_datagen_ds_test");
+        let dir_name = format!("ensemfdet_datagen_ds_test-{}", std::process::id());
+        let dir = std::env::temp_dir().join(dir_name);
         std::fs::create_dir_all(&dir).unwrap();
         let stem = dir.join("tiny");
         let ds = tiny();

@@ -150,7 +150,8 @@ mod tests {
             x: u32,
             name: String,
         }
-        let dir = std::env::temp_dir().join("ensemfdet_eval_report_test");
+        let dir_name = format!("ensemfdet_eval_report_test-{}", std::process::id());
+        let dir = std::env::temp_dir().join(dir_name);
         let path = dir.join("nested").join("row.json");
         let row = Row {
             x: 7,

@@ -268,7 +268,8 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("ensemfdet_graph_io_test");
+        let dir_name = format!("ensemfdet_graph_io_test-{}", std::process::id());
+        let dir = std::env::temp_dir().join(dir_name);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.edges");
         let g = sample();

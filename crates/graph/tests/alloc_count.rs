@@ -9,17 +9,29 @@
 
 use ensemfdet_graph::{ArenaInterner, TransactionInterner};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
-static ALLOC_BYTES: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocation calls and bytes requested by this thread. Counting per
+    /// thread keeps tests running in parallel, and the test harness, out of
+    /// each other's counts. Const-initialized and drop-free, so reading it
+    /// never allocates.
+    static COUNTS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+fn record(bytes: usize) {
+    // `try_with`: the slot is gone while the thread shuts down.
+    let _ = COUNTS.try_with(|c| {
+        let (calls, total) = c.get();
+        c.set((calls + 1, total + bytes));
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        record(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -28,8 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        record(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,14 +48,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns (allocation calls, bytes requested) during it.
+/// Runs `f` and returns (allocation calls, bytes requested) by the calling
+/// thread during it.
 fn counted<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
-    let calls0 = ALLOC_CALLS.load(Ordering::SeqCst);
-    let bytes0 = ALLOC_BYTES.load(Ordering::SeqCst);
+    let (calls0, bytes0) = COUNTS.with(Cell::get);
     let out = f();
-    let calls = ALLOC_CALLS.load(Ordering::SeqCst) - calls0;
-    let bytes = ALLOC_BYTES.load(Ordering::SeqCst) - bytes0;
-    (calls, bytes, out)
+    let (calls1, bytes1) = COUNTS.with(Cell::get);
+    (calls1 - calls0, bytes1 - bytes0, out)
 }
 
 #[test]

@@ -1,10 +1,18 @@
 //! Small row-major dense matrices.
 //!
 //! Used for the `m × l` subspace bases and `l × l` core matrices of the
-//! randomized SVD, where `l = k + oversampling` is a few dozen. Nothing here
-//! is tuned for large dense operands.
+//! randomized SVD, where `l = k + oversampling` is a few dozen. The two
+//! kernels that run over the tall `m × l` bases — [`Matrix::matmul`] by a
+//! small right-hand side and the Gram matrix `YᵀY` — are row-parallel and
+//! bit-identical for every thread count; nothing else is tuned.
 
+use crate::par;
 use crate::vector;
+use std::ops::Range;
+
+/// Rows per partial Gram matrix. Fixed, so summing the partials in block
+/// order gives the same `YᵀY` for every thread count.
+const GRAM_BLOCK: usize = 4096;
 
 /// Row-major dense matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,6 +109,12 @@ impl Matrix {
         &self.data
     }
 
+    /// The raw row-major buffer, mutably.
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -112,21 +126,77 @@ impl Matrix {
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        self.matmul_with(rhs, par::threads_for(self.rows))
+    }
+
+    /// [`Matrix::matmul`] on `threads` threads; the result does not depend
+    /// on `threads`.
+    pub(crate) fn matmul_with(&self, rhs: &Matrix, threads: usize) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul: inner dimension mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         // i-k-j loop order: streams rhs rows, friendly to the row-major layout.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
+        par::for_each_row(out.as_mut_slice(), rhs.cols, threads, |i, orow| {
+            for (k, &a) in self.row(i).iter().enumerate() {
+                if a != 0.0 {
+                    vector::axpy(a, rhs.row(k), orow);
                 }
-                let rrow = rhs.row(k);
-                let orow = out.row_mut(i);
-                vector::axpy(a, rrow, orow);
+            }
+        });
+        out
+    }
+
+    /// The Gram matrix `G = selfᵀ · self` (`cols × cols`, symmetric) on
+    /// `threads` threads. Partial Grams over fixed [`GRAM_BLOCK`]-row blocks
+    /// are computed in parallel and summed in block order, so the result
+    /// does not depend on `threads`.
+    pub(crate) fn gram_with(&self, threads: usize) -> Matrix {
+        let (m, l) = (self.rows, self.cols);
+        if l == 0 {
+            return Matrix::zeros(0, 0);
+        }
+        let mut partials = vec![0.0; m.div_ceil(GRAM_BLOCK) * l * l];
+        par::for_each_row(&mut partials, l * l, threads, |b, g| {
+            let start = b * GRAM_BLOCK;
+            self.gram_block(start..(start + GRAM_BLOCK).min(m), g);
+        });
+        let mut g = Matrix::zeros(l, l);
+        for partial in partials.chunks_exact(l * l) {
+            for (gi, pi) in g.data.iter_mut().zip(partial) {
+                *gi += pi;
             }
         }
-        out
+        for i in 0..l {
+            for j in 0..i {
+                g[(i, j)] = g[(j, i)];
+            }
+        }
+        g
+    }
+
+    /// Adds the upper triangle of `Y[rows]ᵀ · Y[rows]` into the row-major
+    /// `cols × cols` buffer `g`, four rows of `Y` per sweep over `g`.
+    fn gram_block(&self, rows: Range<usize>, g: &mut [f64]) {
+        let l = self.cols;
+        let block = &self.data[rows.start * l..rows.end * l];
+        let mut quads = block.chunks_exact(4 * l);
+        for quad in &mut quads {
+            let (y0, rest) = quad.split_at(l);
+            let (y1, rest) = rest.split_at(l);
+            let (y2, y3) = rest.split_at(l);
+            for i in 0..l {
+                let (a0, a1, a2, a3) = (y0[i], y1[i], y2[i], y3[i]);
+                let gi = &mut g[i * l + i..(i + 1) * l];
+                let cols = y0[i..].iter().zip(&y1[i..]).zip(&y2[i..]).zip(&y3[i..]);
+                for (gij, (((b0, b1), b2), b3)) in gi.iter_mut().zip(cols) {
+                    *gij += a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3;
+                }
+            }
+        }
+        for y in quads.remainder().chunks_exact(l) {
+            for i in 0..l {
+                vector::axpy(y[i], &y[i..], &mut g[i * l + i..(i + 1) * l]);
+            }
+        }
     }
 
     /// Matrix–vector product `self · x`.
@@ -183,6 +253,32 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{bits, fixture_dense};
+
+    #[test]
+    fn gram_matches_transpose_product() {
+        for (rows, cols) in [(1, 1), (3, 2), (7, 5), (2 * GRAM_BLOCK + 9, 6)] {
+            let y = fixture_dense(rows, cols, 3);
+            let want = y.transpose().matmul(&y);
+            let got = y.gram_with(1);
+            let scale = want.frobenius_norm();
+            assert!(got.max_abs_diff(&want) <= 1e-12 * scale, "{rows}×{cols}");
+            assert_eq!(got, got.transpose(), "G must be symmetric");
+        }
+        assert_eq!(Matrix::zeros(4, 0).gram_with(2).rows(), 0);
+    }
+
+    #[test]
+    fn tall_kernels_are_bit_identical_at_any_thread_count() {
+        let y = fixture_dense(2 * GRAM_BLOCK + 3, 9, 5);
+        let w = fixture_dense(9, 4, 6);
+        let (gram, product) = (bits(&y.gram_with(1)), bits(&y.matmul_with(&w, 1)));
+        for threads in 2..=3 {
+            assert_eq!(bits(&y.gram_with(threads)), gram, "{threads} threads");
+            let got = bits(&y.matmul_with(&w, threads));
+            assert_eq!(got, product, "{threads} threads");
+        }
+    }
 
     #[test]
     fn construction_and_indexing() {

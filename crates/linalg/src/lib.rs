@@ -10,12 +10,16 @@
 //!
 //! - [`dense::Matrix`] — small row-major dense matrices,
 //! - [`vector`] — dense vector kernels (dot, axpy, norms),
-//! - [`qr::orthonormalize`] — modified Gram–Schmidt with re-orthogonalization,
+//! - [`qr::orthonormalize`] — CholeskyQR2, falling back to modified
+//!   Gram–Schmidt with re-orthogonalization ([`qr::orthonormalize_mgs2`])
+//!   on rank-deficient input,
 //! - [`eigen::symmetric_eigen`] — cyclic Jacobi eigensolver for small
 //!   symmetric matrices,
-//! - [`sparse::CsrMatrix`] — CSR storage with `A·x`, `Aᵀ·x` and blocked
+//! - [`sparse::CsrMatrix`] — CSR storage with `A·x`, `Aᵀ·x` and row-parallel
 //!   dense products,
-//! - [`svd::randomized_svd`] — the composition of the above,
+//! - [`svd::randomized_svd`] — the composition of the above, row-parallel
+//!   over the available cores and bit-identical for every thread count
+//!   ([`svd::randomized_svd_reference`] is the serial MGS2 oracle),
 //! - [`svd::svd_small`] — exact (Gram-based) SVD for small dense matrices,
 //!   used as the reference implementation in tests,
 //! - [`power::power_iteration`] — dominant singular triplet, a cheap
@@ -27,13 +31,16 @@
 pub mod dense;
 pub mod eigen;
 pub mod lanczos;
+mod par;
 pub mod power;
 pub mod qr;
 pub mod sparse;
 pub mod svd;
+#[cfg(test)]
+mod testing;
 pub mod vector;
 
 pub use dense::Matrix;
 pub use lanczos::lanczos_svd;
 pub use sparse::CsrMatrix;
-pub use svd::{randomized_svd, svd_small, Svd, SvdOptions};
+pub use svd::{randomized_svd, randomized_svd_reference, svd_small, Svd, SvdOptions};

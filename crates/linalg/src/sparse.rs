@@ -3,9 +3,13 @@
 //! The bipartite adjacency matrix `W ∈ R^{|U| × |V|}` of a transaction graph
 //! is extremely sparse (a few edges per user). All the spectral baselines
 //! need from it are matrix–vector and matrix–(tall dense) products with `W`
-//! and `Wᵀ`, which CSR provides in O(nnz · l).
+//! and `Wᵀ`, which CSR provides in O(nnz · l). The dense products are
+//! row-parallel gathers: `Wᵀ·X` runs over the transposed CSR, so each output
+//! row is written by one thread, summed in the same order as a serial
+//! scatter, and the result is bit-identical for every thread count.
 
 use crate::dense::Matrix;
+use crate::par;
 
 /// Sparse matrix in CSR form.
 #[derive(Clone, Debug)]
@@ -149,41 +153,80 @@ impl CsrMatrix {
     ///
     /// Panics if `x.rows() != cols`.
     pub fn mat_dense(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), self.cols, "mat_dense: shape mismatch");
-        let l = x.cols();
-        let mut out = Matrix::zeros(self.rows, l);
-        for r in 0..self.rows {
-            // Accumulate row r of the output as a weighted sum of X's rows.
-            let orow = out.row_mut(r);
-            for (c, v) in self.row(r) {
-                let xrow = x.row(c as usize);
-                for (o, xv) in orow.iter_mut().zip(xrow) {
-                    *o += v * xv;
-                }
-            }
-        }
+        self.mat_dense_with(x, par::threads_for(self.rows))
+    }
+
+    /// [`CsrMatrix::mat_dense`] on `threads` threads; the result does not
+    /// depend on `threads`.
+    pub(crate) fn mat_dense_with(&self, x: &Matrix, threads: usize) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, x.cols());
+        self.mat_dense_into(x, &mut out, threads);
         out
     }
 
+    /// [`CsrMatrix::mat_dense_with`] into an existing `rows × l` buffer,
+    /// which is overwritten: a tall product reuses its pages instead of
+    /// faulting in fresh ones.
+    pub(crate) fn mat_dense_into(&self, x: &Matrix, out: &mut Matrix, threads: usize) {
+        assert_eq!(x.rows(), self.cols, "mat_dense: shape mismatch");
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (self.rows, x.cols()),
+            "mat_dense: output shape mismatch"
+        );
+        par::for_each_row(out.as_mut_slice(), x.cols(), threads, |r, orow| {
+            // Row r of the output is a weighted sum of X's rows.
+            orow.fill(0.0);
+            for (c, v) in self.row(r) {
+                for (o, xv) in orow.iter_mut().zip(x.row(c as usize)) {
+                    *o += v * xv;
+                }
+            }
+        });
+    }
+
     /// `Y = Aᵀ · X` for a tall dense `X` (rows × l). Output is cols × l.
+    ///
+    /// Builds the transpose on every call; callers that multiply by `Aᵀ`
+    /// repeatedly should build it once.
     ///
     /// # Panics
     ///
     /// Panics if `x.rows() != rows`.
     pub fn mat_dense_transpose(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.rows(), self.rows, "mat_dense_transpose: shape mismatch");
-        let l = x.cols();
-        let mut out = Matrix::zeros(self.cols, l);
+        self.transpose().mat_dense(x)
+    }
+
+    /// `Aᵀ` in CSR form. Each row of the transpose lists its entries in
+    /// ascending column (= original row) order, so a gather over it sums
+    /// every output entry in the order a row-by-row scatter over `A` would.
+    pub(crate) fn transpose(&self) -> CsrMatrix {
+        let mut row_offsets = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_offsets[c as usize + 1] += 1;
+        }
+        for i in 0..self.cols {
+            row_offsets[i + 1] += row_offsets[i];
+        }
+        let mut cursor = row_offsets[..self.cols].to_vec();
+        let mut col_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
         for r in 0..self.rows {
-            let xrow = x.row(r).to_vec();
             for (c, v) in self.row(r) {
-                let orow = out.row_mut(c as usize);
-                for (o, xv) in orow.iter_mut().zip(&xrow) {
-                    *o += v * xv;
-                }
+                let slot = &mut cursor[c as usize];
+                col_idx[*slot] = r as u32;
+                values[*slot] = v;
+                *slot += 1;
             }
         }
-        out
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_offsets,
+            col_idx,
+            values,
+        }
     }
 
     /// Materializes as dense — for tests on tiny matrices only.
@@ -213,6 +256,95 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{arb_sparse, bits, fixture_dense, fixture_sparse};
+    use proptest::prelude::*;
+
+    /// `A · X` as a plain serial loop.
+    fn serial_mat_dense(a: &CsrMatrix, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), x.cols());
+        for r in 0..a.rows() {
+            for (c, v) in a.row(r) {
+                for (o, xv) in out.row_mut(r).iter_mut().zip(x.row(c as usize)) {
+                    *o += v * xv;
+                }
+            }
+        }
+        out
+    }
+
+    /// `Aᵀ · X` as a serial scatter over the rows of `A`.
+    fn serial_scatter_transpose(a: &CsrMatrix, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), x.cols());
+        for r in 0..a.rows() {
+            for (c, v) in a.row(r) {
+                for (o, xv) in out.row_mut(c as usize).iter_mut().zip(x.row(r)) {
+                    *o += v * xv;
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dense_products_are_bit_identical_to_serial_at_any_thread_count(
+            a in arb_sparse(40, 200),
+            l in 0usize..6,
+            seed in 0u64..100,
+        ) {
+            let x = fixture_dense(a.cols(), l, seed);
+            let xt = fixture_dense(a.rows(), l, seed + 1);
+            let want = bits(&serial_mat_dense(&a, &x));
+            let want_t = bits(&serial_scatter_transpose(&a, &xt));
+            prop_assert_eq!(bits(&a.mat_dense(&x)), want.clone());
+            prop_assert_eq!(bits(&a.mat_dense_transpose(&xt)), want_t.clone());
+            let at = a.transpose();
+            for threads in 1..=3 {
+                prop_assert_eq!(bits(&a.mat_dense_with(&x, threads)), want.clone());
+                prop_assert_eq!(bits(&at.mat_dense_with(&xt, threads)), want_t.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn tall_products_are_bit_identical_at_any_thread_count() {
+        let a = fixture_sparse(9_000, 700, 30_000);
+        let (x, xt) = (fixture_dense(700, 7, 1), fixture_dense(9_000, 7, 2));
+        let want = bits(&serial_mat_dense(&a, &x));
+        let want_t = bits(&serial_scatter_transpose(&a, &xt));
+        let at = a.transpose();
+        for threads in 1..=3 {
+            let got = bits(&a.mat_dense_with(&x, threads));
+            assert_eq!(got, want, "{threads} threads");
+            let got_t = bits(&at.mat_dense_with(&xt, threads));
+            assert_eq!(got_t, want_t, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn mat_dense_into_overwrites_the_buffer() {
+        let a = sample();
+        let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f64);
+        let mut out = Matrix::from_fn(2, 2, |_, _| 99.0);
+        a.mat_dense_into(&x, &mut out, 2);
+        assert_eq!(out, a.mat_dense(&x));
+    }
+
+    #[test]
+    fn transpose_round_trips_and_keeps_rows_sorted() {
+        let a = fixture_sparse(50, 20, 300);
+        let at = a.transpose();
+        assert_eq!((at.rows(), at.cols(), at.nnz()), (20, 50, a.nnz()));
+        assert_eq!(at.to_dense(), a.to_dense().transpose());
+        for c in 0..at.rows() {
+            let rows: Vec<u32> = at.row(c).map(|(r, _)| r).collect();
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "row {c}: {rows:?}");
+        }
+        let back = at.transpose();
+        assert_eq!((back.row_offsets, back.col_idx), (a.row_offsets, a.col_idx));
+    }
 
     fn sample() -> CsrMatrix {
         // [[1, 0, 2],

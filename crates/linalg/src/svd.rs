@@ -8,12 +8,21 @@
 //! triplets of graph adjacency matrices to working accuracy — which is all
 //! SpokEn and FBox consume.
 //!
+//! Every step that touches an `m`- or `n`-row operand is row-parallel over
+//! the available cores and bit-identical for every thread count: the
+//! sparse products (`Aᵀ` is transposed once per call and gathered row by
+//! row), CholeskyQR2 orthonormalization, the Gram matrix of `Bᵀ`, and the
+//! extraction `U = Q·W`, `V = Bᵀ·W·Σ⁻¹`. [`randomized_svd_reference`] is
+//! the same pipeline, serial and with MGS2 orthonormalization: the oracle
+//! the fast path is tested against.
+//!
 //! [`svd_small`] is the exact Gram-based SVD for small dense matrices; the
 //! test-suite uses it as the reference the randomized method must match.
 
 use crate::dense::Matrix;
 use crate::eigen::symmetric_eigen;
-use crate::qr::orthonormalize;
+use crate::par;
+use crate::qr::{orthonormalize_mgs2, orthonormalize_with};
 use crate::sparse::CsrMatrix;
 use crate::vector;
 use rand::rngs::StdRng;
@@ -89,6 +98,27 @@ impl Default for SvdOptions {
 /// when the clamp applies; numerically zero singular values are kept (as 0)
 /// so callers can rely on the output rank.
 pub fn randomized_svd(a: &CsrMatrix, k: usize, opts: SvdOptions) -> Svd {
+    let threads = par::threads_for(a.rows().max(a.cols()));
+    randomized_svd_with(a, k, opts, threads, orthonormalize_with)
+}
+
+/// [`randomized_svd`] run serially with MGS2 orthonormalization — the
+/// reference implementation the fast path is tested against. It agrees
+/// with [`randomized_svd`] to rounding on inputs of full sketch rank and is
+/// several times slower on tall input; use it in tests only.
+pub fn randomized_svd_reference(a: &CsrMatrix, k: usize, opts: SvdOptions) -> Svd {
+    randomized_svd_with(a, k, opts, 1, |y, _| orthonormalize_mgs2(y))
+}
+
+/// The randomized SVD pipeline on `threads` threads with the given
+/// orthonormalizer. The result does not depend on `threads`.
+pub(crate) fn randomized_svd_with(
+    a: &CsrMatrix,
+    k: usize,
+    opts: SvdOptions,
+    threads: usize,
+    orthonormalize: fn(&mut Matrix, usize) -> usize,
+) -> Svd {
     let (m, n) = (a.rows(), a.cols());
     let k = k.min(m).min(n);
     if k == 0 {
@@ -99,54 +129,45 @@ pub fn randomized_svd(a: &CsrMatrix, k: usize, opts: SvdOptions) -> Svd {
         };
     }
     let l = (k + opts.oversample).min(m).min(n);
+    let at = a.transpose();
 
     // Gaussian sketch Ω (n × l) and range Y = A·Ω (m × l).
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let omega = gaussian_matrix(n, l, &mut rng);
-    let mut q = a.mat_dense(&omega);
-    orthonormalize(&mut q);
+    let mut q = a.mat_dense_with(&omega, threads);
+    orthonormalize(&mut q, threads);
 
-    // Power iterations with re-orthonormalization at each half-step.
+    // Power iterations with re-orthonormalization at each half-step. The
+    // products overwrite `z` and `q` in place rather than allocating.
+    let mut z = Matrix::zeros(n, l);
     for _ in 0..opts.power_iters {
-        let mut z = a.mat_dense_transpose(&q);
-        orthonormalize(&mut z);
-        q = a.mat_dense(&z);
-        orthonormalize(&mut q);
+        at.mat_dense_into(&q, &mut z, threads);
+        orthonormalize(&mut z, threads);
+        a.mat_dense_into(&z, &mut q, threads);
+        orthonormalize(&mut q, threads);
     }
 
     // B = Qᵀ A, materialized transposed: Bt = Aᵀ Q is (n × l).
-    let bt = a.mat_dense_transpose(&q);
+    at.mat_dense_into(&q, &mut z, threads);
+    let bt = z;
 
     // Small Gram problem: G = B Bᵀ = Btᵀ Bt (l × l), PSD.
-    let g = bt.transpose().matmul(&bt);
-    let eig = symmetric_eigen(&g);
+    let eig = symmetric_eigen(&bt.gram_with(threads));
 
-    // σᵢ = √λᵢ; U = Q W; vᵢ = Bᵀ wᵢ / σᵢ.
-    let mut s = Vec::with_capacity(k);
-    let mut u = Matrix::zeros(m, k);
-    let mut v = Matrix::zeros(n, k);
-    for i in 0..k {
-        let sigma = eig.values[i].max(0.0).sqrt();
-        s.push(sigma);
-        let w = eig.vectors.col(i);
-        let ucol = {
-            // Q (m × l) times w (l).
-            let mut out = vec![0.0; m];
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = vector::dot(q.row(r), &w);
-            }
-            out
-        };
-        u.set_col(i, &ucol);
-        if sigma > f64::EPSILON {
-            let mut vcol = vec![0.0; n];
-            for (r, o) in vcol.iter_mut().enumerate() {
-                *o = vector::dot(bt.row(r), &w) / sigma;
-            }
-            v.set_col(i, &vcol);
+    // σᵢ = √λᵢ; U = Q W; vᵢ = Bᵀ wᵢ / σᵢ, with W the top-k eigenvectors.
+    let s: Vec<f64> = eig.values[..k]
+        .iter()
+        .map(|&lambda| lambda.max(0.0).sqrt())
+        .collect();
+    let w = Matrix::from_fn(l, k, |r, c| eig.vectors[(r, c)]);
+    let u = q.matmul_with(&w, threads);
+    let mut v = bt.matmul_with(&w, threads);
+    for row in v.as_mut_slice().chunks_exact_mut(k) {
+        for (x, &sigma) in row.iter_mut().zip(&s) {
+            // σ == 0 ⇒ V column stays zero: the direction is arbitrary and
+            // consumers treat zero singular values as "no component".
+            *x = if sigma > f64::EPSILON { *x / sigma } else { 0.0 };
         }
-        // σ == 0 ⇒ V column stays zero: the direction is arbitrary and
-        // consumers treat zero singular values as "no component".
     }
 
     Svd { u, s, v }
@@ -221,6 +242,40 @@ fn gaussian_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
 mod tests {
     use super::*;
     use crate::qr::orthonormality_error;
+    use crate::testing::{arb_sparse, bits, fixture_sparse};
+    use proptest::prelude::*;
+
+    /// Runs the production pipeline at 1, 2 and 3 threads and checks every
+    /// factor is bit-identical to the single-threaded one.
+    fn assert_thread_invariant(a: &CsrMatrix, k: usize) -> Result<(), TestCaseError> {
+        let opts = SvdOptions::default();
+        let one = randomized_svd_with(a, k, opts, 1, orthonormalize_with);
+        for threads in 2..=3 {
+            let svd = randomized_svd_with(a, k, opts, threads, orthonormalize_with);
+            let s_bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(s_bits(&svd.s), s_bits(&one.s), "σ at {} threads", threads);
+            prop_assert_eq!(bits(&svd.u), bits(&one.u), "U at {} threads", threads);
+            prop_assert_eq!(bits(&svd.v), bits(&one.v), "V at {} threads", threads);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn randomized_svd_is_bit_identical_at_any_thread_count(a in arb_sparse(40, 200)) {
+            assert_thread_invariant(&a, 3)?;
+        }
+    }
+
+    #[test]
+    fn tall_randomized_svd_is_bit_identical_at_any_thread_count() {
+        // Over two Gram blocks of rows, so block sums and row chunks split,
+        // and an odd row count, so chunks cut the solve's four-row groups
+        // differently at each thread count.
+        assert_thread_invariant(&fixture_sparse(9_001, 600, 40_000), 5).unwrap();
+    }
 
     /// Builds a sparse matrix with exactly known singular values by taking a
     /// diagonal and permuting.

@@ -1,7 +1,9 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use ensemfdet_linalg::qr::{orthonormality_error, orthonormalize};
-use ensemfdet_linalg::{lanczos_svd, randomized_svd, svd_small, CsrMatrix, Matrix, SvdOptions};
+use ensemfdet_linalg::qr::{orthonormality_error, orthonormalize, orthonormalize_mgs2};
+use ensemfdet_linalg::{
+    lanczos_svd, randomized_svd, randomized_svd_reference, svd_small, CsrMatrix, Matrix, SvdOptions,
+};
 use proptest::prelude::*;
 
 /// Strategy: dense matrices with small integer-ish entries.
@@ -20,8 +22,103 @@ fn arb_sparse(max_dim: u32, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> 
     })
 }
 
+/// Strategy: tall matrices with a dominant diagonal block on top, so
+/// their condition number stays small.
+fn arb_well_conditioned(max_cols: usize) -> impl Strategy<Value = Matrix> {
+    (1..=max_cols, 0..40usize).prop_flat_map(|(c, extra)| {
+        let r = c + extra;
+        prop::collection::vec(-1.0f64..1.0, r * c).prop_map(move |noise| {
+            Matrix::from_fn(r, c, |i, j| {
+                noise[i * c + j] + if i == j { 4.0 } else { 0.0 }
+            })
+        })
+    })
+}
+
+/// `Q` with every column's sign flipped to agree with `reference`.
+fn align_signs(q: &Matrix, reference: &Matrix) -> Matrix {
+    let signs: Vec<f64> = (0..q.cols())
+        .map(|c| {
+            let d: f64 = (0..q.rows()).map(|r| q[(r, c)] * reference[(r, c)]).sum();
+            if d < 0.0 {
+                -1.0
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    Matrix::from_fn(q.rows(), q.cols(), |r, c| q[(r, c)] * signs[c])
+}
+
+/// `Y` with column `c` overwritten by a copy of column `src`.
+fn with_duplicate_column(y: &Matrix, c: usize, src: usize) -> Matrix {
+    Matrix::from_fn(y.rows(), y.cols(), |r, j| {
+        y[(r, if j == c { src } else { j })]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn orthonormalize_is_orthonormal_and_spans_input(m in arb_matrix(12)) {
+        if m.cols() > m.rows() {
+            return Ok(());
+        }
+        let mut q = m.clone();
+        orthonormalize(&mut q);
+        prop_assert!(orthonormality_error(&q) < 1e-12, "QᵀQ off I by {}", orthonormality_error(&q));
+        // Y = Q (QᵀY) whenever no column was replaced (full column rank).
+        let mut probe = m.clone();
+        if orthonormalize_mgs2(&mut probe) == 0 {
+            let proj = q.matmul(&q.transpose().matmul(&m));
+            prop_assert!(proj.max_abs_diff(&m) < 1e-9 * (1.0 + m.frobenius_norm()));
+        }
+    }
+
+    #[test]
+    fn orthonormalize_matches_mgs2_on_well_conditioned_input(y in arb_well_conditioned(10)) {
+        let mut fast = y.clone();
+        let mut oracle = y;
+        prop_assert_eq!(orthonormalize(&mut fast), 0);
+        prop_assert_eq!(orthonormalize_mgs2(&mut oracle), 0);
+        let diff = align_signs(&fast, &oracle).max_abs_diff(&oracle);
+        prop_assert!(diff < 1e-10, "CholeskyQR2 vs MGS2: {diff}");
+    }
+
+    #[test]
+    fn rank_deficient_input_takes_the_mgs2_fallback(
+        y in arb_well_conditioned(6),
+        pick in 0usize..36,
+        case in 0usize..3,
+    ) {
+        // Case 0: two equal columns; 1: more columns than rows; 2: zero.
+        let (c, src) = (pick % y.cols(), (pick / y.cols()) % y.cols());
+        let y = match case {
+            0 if c != src => with_duplicate_column(&y, c, src),
+            1 if y.rows() > y.cols() => y.transpose(),
+            2 => Matrix::zeros(y.rows(), y.cols()),
+            // Not rank-deficient in this draw.
+            _ => return Ok(()),
+        };
+        let mut fast = y.clone();
+        let mut oracle = y;
+        let replaced = orthonormalize(&mut fast);
+        prop_assert!(replaced > 0);
+        prop_assert_eq!(replaced, orthonormalize_mgs2(&mut oracle));
+        prop_assert_eq!(fast, oracle);
+    }
+
+    #[test]
+    fn randomized_svd_matches_mgs2_reference(a in arb_sparse(40, 200)) {
+        let k = 4.min(a.rows()).min(a.cols());
+        let opts = SvdOptions::default();
+        let fast = randomized_svd(&a, k, opts);
+        let oracle = randomized_svd_reference(&a, k, opts);
+        for (s, r) in fast.s.iter().zip(&oracle.s) {
+            prop_assert!((s - r).abs() <= 1e-10 * (1.0 + r), "σ {s} vs {r}");
+        }
+    }
 
     #[test]
     fn orthonormalize_always_yields_orthonormal_q(m in arb_matrix(12)) {

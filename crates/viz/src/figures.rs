@@ -349,7 +349,8 @@ mod tests {
 
     #[test]
     fn render_all_writes_files_and_skips_missing() {
-        let dir = std::env::temp_dir().join("ensemfdet_viz_render_all");
+        let dir_name = format!("ensemfdet_viz_render_all-{}", std::process::id());
+        let dir = std::env::temp_dir().join(dir_name);
         std::fs::create_dir_all(&dir).unwrap();
         // Only fig1 input present.
         std::fs::write(

@@ -6,7 +6,8 @@ use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_datagen::{generate, Dataset};
 
 fn tmp_stem(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ensemfdet_integration_io");
+    let dir_name = format!("ensemfdet_integration_io-{}", std::process::id());
+    let dir = std::env::temp_dir().join(dir_name);
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
