@@ -1,8 +1,13 @@
 //! Randomized truncated SVD: cost vs rank `k` and vs power iterations `q`,
 //! plus the accuracy/cost trade-off of `q` (the subspace sharpening the
 //! SpokEn/FBox baselines rely on); the tall-skinny orthonormalization
-//! kernel on its own (CholeskyQR2 against the MGS2 reference); and the
+//! kernel on its own (CholeskyQR2 against the MGS2 reference — the SVD's
+//! fast path runs it only on the short side, and on the tall sketch only
+//! as the fallback for rank-deficient or ill-conditioned input); and the
 //! whole SVD at the hybrid scorer's jd3/16 shape across thread counts.
+//!
+//! Run with `cargo bench -p ensemfdet-bench --bench svd` (every group runs).
+//! Recorded numbers are in EXPERIMENTS.md ("Spectral scoring" sections).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ensemfdet_linalg::qr::{orthonormalize, orthonormalize_mgs2};

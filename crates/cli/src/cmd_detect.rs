@@ -29,7 +29,8 @@ OPTIONS:
     --seed N              RNG seed [default: 42]
     --workers W           worker threads for the sample pool; results are
                           identical for every W [default: 0 = auto]
-    --timing              print the ensemble's wall-clock breakdown
+    --timing              print the ensemble's wall-clock breakdown (and
+                          the hybrid components' under --scoring)
     --scoring SPEC        fuse the vote fraction with spectral and k-core
                           components (hybrid scoring). SPEC is `hybrid`
                           for the defaults or `key=value` pairs:
@@ -173,6 +174,12 @@ pub(crate) fn hybrid_summary(scores: &HybridScanScores) -> String {
     )
 }
 
+/// One-line wall-clock of a hybrid pass's component scorers.
+pub(crate) fn hybrid_timing(scores: &HybridScanScores) -> String {
+    let [vote, spectral, kcore] = scores.component_times.map(|d| d.as_secs_f64() * 1e3);
+    format!("hybrid timing: vote {vote:.1} ms, spectral {spectral:.1} ms, kcore {kcore:.1} ms")
+}
+
 /// Runs the command.
 pub fn run(args: &Args) -> Result<String, String> {
     if args.flag("help") {
@@ -202,6 +209,10 @@ pub fn run(args: &Args) -> Result<String, String> {
                 // The hybrid set and fused scores replace the vote ones
                 // in --out / --scores; the summary names both counts.
                 hybrid_note = Some(hybrid_summary(&hybrid));
+                if let Some(t) = &mut timing_note {
+                    t.push('\n');
+                    t.push_str(&hybrid_timing(&hybrid));
+                }
                 let detected = hybrid.hybrid_flagged.iter().map(|u| u.0).collect();
                 (detected, Some(hybrid.hybrid))
             } else {
@@ -358,6 +369,26 @@ mod tests {
         assert!(err.contains("all be zero"), "{err}");
         let err = run(&args(&[base as &[_], &["--scoring", "banana=1"]].concat())).unwrap_err();
         assert!(err.contains("unknown scoring key"), "{err}");
+    }
+
+    #[test]
+    fn timing_flag_reports_hybrid_component_times() {
+        let gf = graph_file("timing_flag_reports_hybrid_component_times");
+        let out = run(&args(&[
+            "--graph", &gf, "--samples", "6", "--ratio", "0.5", "--scoring", "hybrid", "--timing",
+        ]))
+        .unwrap();
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("hybrid timing:"))
+            .expect(&out);
+        for component in ["vote", "spectral", "kcore"] {
+            assert!(line.contains(&format!(" {component} ")), "{line}");
+        }
+        // Without hybrid scoring there is no hybrid pass to time.
+        let out = run(&args(&["--graph", &gf, "--samples", "6", "--ratio", "0.5", "--timing"]))
+            .unwrap();
+        assert!(!out.contains("hybrid timing:"), "{out}");
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //! * `--url`: stream the file to a running service's `POST
 //!   /v1/transactions` as `text/csv`;
 //! * `--detect`: run the ensemble directly on the amount-weighted graph
-//!   and print (or `--out`-write) the flagged account keys.
+//!   and print (or `--out`-write) the flagged account keys — the vote set,
+//!   or the hybrid set under `--scoring`.
 //!
 //! Loading is chunk-parallel (`--workers`), but assigned ids, edge
 //! weights, and every detection result are bit-identical for every worker
 //! count — the knob is wall-clock only.
 
 use crate::args::Args;
-use crate::cmd_detect::{ensemfdet_config, timing_summary};
+use crate::cmd_detect::{
+    ensemfdet_config, hybrid_pass, hybrid_summary, hybrid_timing, timing_summary,
+};
 use ensemfdet::EnsemFdet;
 use ensemfdet_graph::loader::{load_transactions_path, LoadOptions};
 use std::io::{Read, Write};
@@ -34,6 +37,8 @@ OPTIONS:
                           results are identical for every N
                           [default: 0 = auto]
     --timing              print load duration, records/sec, arena bytes
+                          (and the ensemble's and hybrid components'
+                          breakdown under --detect)
   sinks (default: load only, report the graph shape):
     --url URL             POST the log as text/csv to a running service,
                           e.g. http://127.0.0.1:7878
@@ -44,6 +49,8 @@ OPTIONS:
     --ratio S             sample ratio [default: 0.1]
     --threshold T         vote threshold [default: N/2]
     --seed N              RNG seed [default: 42]
+    --scoring SPEC        flag the fused hybrid set instead of the vote set
+                          (spec as in `detect --scoring`)
 ";
 
 /// Minimal raw-socket HTTP POST; returns `(status, body)`.
@@ -174,16 +181,28 @@ pub fn run(args: &Args) -> Result<String, String> {
         let out_path = args.get("out");
         args.finish()?;
         let outcome = EnsemFdet::with_workers(cfg, workers).detect(&loaded.graph);
-        let detected = outcome.votes.detected_users(threshold.max(1));
+        let hybrid = hybrid_pass(&loaded.graph, &outcome, &cfg);
+        let detected = match &hybrid {
+            Some(h) => h.hybrid_flagged.clone(),
+            None => outcome.votes.detected_users(threshold.max(1)),
+        };
         let keys = loaded.interner.user_keys_of(&detected);
         report.push_str(&format!(
             "\nensemfdet: detected {} of {} accounts",
             keys.len(),
             loaded.graph.num_users()
         ));
+        if let Some(h) = &hybrid {
+            report.push('\n');
+            report.push_str(&hybrid_summary(h));
+        }
         if timing {
             report.push('\n');
             report.push_str(&timing_summary(cfg.path, &outcome));
+            if let Some(h) = &hybrid {
+                report.push('\n');
+                report.push_str(&hybrid_timing(h));
+            }
         }
         if let Some(p) = &out_path {
             let text: String = keys.iter().map(|k| format!("{k}\n")).collect();
@@ -286,6 +305,44 @@ mod tests {
         let text = std::fs::read_to_string(&out_file).unwrap();
         assert!(text.lines().all(|l| l.starts_with("bot-")), "{text}");
         assert_eq!(text.lines().count(), 8, "{text}");
+    }
+
+    #[test]
+    fn detect_scoring_flags_the_library_hybrid_set() {
+        use ensemfdet::{hybrid_scan_scores, DetectContext, EnsemFdetConfig, ScoringConfig};
+        use ensemfdet_graph::load_transactions;
+
+        let test = "detect_scoring_flags_the_library_hybrid_set";
+        let f = ring_log(test);
+        let out_file = crate::test_dir(module_path!(), test).join("flagged.txt");
+        let out = run(&args(&[
+            "--file", &f, "--detect", "--samples", "12", "--ratio", "0.6", "--seed", "7",
+            "--workers", "2", "--scoring", "hybrid", "--timing",
+            "--out", out_file.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(out.contains("\nhybrid: "), "{out}");
+        assert!(out.contains("\nhybrid timing: vote "), "{out}");
+
+        let loaded =
+            load_transactions(&std::fs::read(&f).unwrap(), &LoadOptions::default()).unwrap();
+        let cfg = EnsemFdetConfig {
+            num_samples: 12,
+            sample_ratio: 0.6,
+            seed: 7,
+            scoring: ScoringConfig::enabled(),
+            ..Default::default()
+        };
+        let votes = EnsemFdet::new(cfg).detect(&loaded.graph).votes;
+        let ctx = DetectContext::new(&loaded.graph);
+        let want = hybrid_scan_scores(&ctx, &votes, &cfg.scoring).hybrid_flagged;
+        assert!(!want.is_empty());
+        let flagged = std::fs::read_to_string(&out_file).unwrap();
+        assert_eq!(
+            flagged.lines().collect::<Vec<_>>(),
+            loaded.interner.user_keys_of(&want),
+            "{out}"
+        );
     }
 
     #[test]

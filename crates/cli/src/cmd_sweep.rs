@@ -1,7 +1,9 @@
 //! `ensemfdet sweep` — a detector's full operating curve against labels.
 
 use crate::args::Args;
-use crate::cmd_detect::{ensemfdet_config, hybrid_pass, hybrid_summary, score_users, timing_summary};
+use crate::cmd_detect::{
+    ensemfdet_config, hybrid_pass, hybrid_summary, hybrid_timing, score_users, timing_summary,
+};
 use ensemfdet::EnsemFdet;
 use ensemfdet_baselines::{Fraudar, FraudarConfig};
 use ensemfdet_eval::{PrCurve, RocCurve, Table};
@@ -19,7 +21,8 @@ OPTIONS:
   ensemfdet:
     --samples N  --ratio S  --sampling M  --engine E  --sample-path P  --seed N
     --workers W           (as in `detect`)
-    --timing              print the ensemble's wall-clock breakdown
+    --timing              print the ensemble's wall-clock breakdown (and
+                          the hybrid components' under --scoring)
     --scoring SPEC        sweep the fused hybrid score instead of the raw
                           vote counts (spec as in `detect --scoring`)
   fraudar:
@@ -66,6 +69,10 @@ pub fn run(args: &Args) -> Result<String, String> {
                 // Sweep the fused score itself — a far finer operating
                 // curve than the N discrete vote thresholds.
                 hybrid_note = Some(hybrid_summary(&hybrid));
+                if let Some(t) = &mut timing_note {
+                    t.push('\n');
+                    t.push_str(&hybrid_timing(&hybrid));
+                }
                 (
                     PrCurve::from_scores(&hybrid.hybrid, &labels),
                     RocCurve::from_scores(&hybrid.hybrid, &labels),
@@ -210,10 +217,11 @@ mod tests {
         let (g, l) = dataset_files("scoring_flag_sweeps_the_hybrid_score");
         let out = run(&args(&[
             "--graph", &g, "--labels", &l, "--samples", "8", "--ratio", "0.5",
-            "--scoring", "hybrid",
+            "--scoring", "hybrid", "--timing",
         ]))
         .unwrap();
         assert!(out.contains("hybrid:"), "{out}");
+        assert!(out.contains("\nhybrid timing: vote "), "{out}");
         // The planted 8×4 block dominates every component, so the fused
         // sweep nearly separates it.
         let f1: f64 = out

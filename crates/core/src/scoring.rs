@@ -731,41 +731,57 @@ mod tests {
         assert!(cores[0] > cores[20]);
     }
 
-    /// The spectral component through CholeskyQR2 matches the serial MGS2
-    /// reference pipeline to 1e-10 on generated jd3/400 graphs, and the
-    /// hybrid-flagged set it feeds is the same.
+    /// The spectral component of the fast SVD matches the serial MGS2
+    /// reference pipeline to 1e-10 on generated jd3/400 graphs — both the
+    /// binary edge graph and the amount-weighted graph loaded from its
+    /// transaction log, which the batch job scores — and the hybrid-flagged
+    /// set it feeds is the same.
     #[test]
     fn spectral_scores_match_the_mgs2_reference_pipeline() {
         use crate::ensemble::{EnsemFdet, EnsemFdetConfig};
         use ensemfdet_datagen::presets::{jd_preset, JdDataset};
+        use ensemfdet_datagen::{transaction_log_string, TransactionLogConfig};
+        use ensemfdet_graph::{load_transactions, LoadOptions};
         use ensemfdet_linalg::randomized_svd_reference;
 
         for seed in [1, 2, 3] {
-            let g = ensemfdet_datagen::generate(&jd_preset(JdDataset::Jd3, 400, seed)).graph;
-            let ctx = DetectContext::new(&g);
-            let cfg = ScoringConfig::enabled();
-            let config = EnsemFdetConfig {
-                num_samples: 6,
-                sample_ratio: 0.2,
-                ..Default::default()
-            };
-            let votes = EnsemFdet::new(config).detect(&g).votes;
-            let out = hybrid_scan_scores(&ctx, &votes, &cfg);
+            let ds = ensemfdet_datagen::generate(&jd_preset(JdDataset::Jd3, 400, seed));
+            let (log, _) = transaction_log_string(
+                &ds,
+                &TransactionLogConfig {
+                    seed,
+                    ..Default::default()
+                },
+            );
+            let weighted = load_transactions(log.as_bytes(), &LoadOptions::default())
+                .unwrap()
+                .graph;
+            for (name, g) in [("edges", &ds.graph), ("translog", &weighted)] {
+                let ctx = DetectContext::new(g);
+                let cfg = ScoringConfig::enabled();
+                let config = EnsemFdetConfig {
+                    num_samples: 6,
+                    sample_ratio: 0.2,
+                    ..Default::default()
+                };
+                let votes = EnsemFdet::new(config).detect(g).votes;
+                let out = hybrid_scan_scores(&ctx, &votes, &cfg);
 
-            let oracle = spectral_scores_with(&ctx, &cfg, randomized_svd_reference);
-            let diff = out
-                .spectral
-                .iter()
-                .zip(&oracle)
-                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-            assert!(diff <= 1e-10, "seed {seed}: max |Δ spectral| = {diff:e}");
-            let oracle_hybrid = HybridScorer::new(cfg).fuse(&out.vote, &oracle, &out.kcore);
-            let oracle_flagged: Vec<UserId> = (0..g.num_users())
-                .filter(|&u| oracle_hybrid[u] >= cfg.hybrid_threshold)
-                .map(|u| UserId(u as u32))
-                .collect();
-            assert!(!oracle_flagged.is_empty(), "seed {seed}: nothing flagged");
-            assert_eq!(out.hybrid_flagged, oracle_flagged, "seed {seed}");
+                let oracle = spectral_scores_with(&ctx, &cfg, randomized_svd_reference);
+                let diff = out
+                    .spectral
+                    .iter()
+                    .zip(&oracle)
+                    .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                assert!(diff <= 1e-10, "{name} seed {seed}: max |Δ spectral| = {diff:e}");
+                let oracle_hybrid = HybridScorer::new(cfg).fuse(&out.vote, &oracle, &out.kcore);
+                let oracle_flagged: Vec<UserId> = (0..g.num_users())
+                    .filter(|&u| oracle_hybrid[u] >= cfg.hybrid_threshold)
+                    .map(|u| UserId(u as u32))
+                    .collect();
+                assert!(!oracle_flagged.is_empty(), "{name} seed {seed}: nothing flagged");
+                assert_eq!(out.hybrid_flagged, oracle_flagged, "{name} seed {seed}");
+            }
         }
     }
 

@@ -288,7 +288,7 @@ fn write_recover<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A concurrent interner: keys route by hash to [`NUM_SHARDS`] independent
+/// A concurrent interner: keys route by hash to `NUM_SHARDS` (16) independent
 /// shards, so threads interning disjoint keys take disjoint locks. Hits —
 /// the overwhelming majority on real logs — need only a shard *read* lock.
 ///

@@ -18,8 +18,10 @@
 //! - [`sparse::CsrMatrix`] — CSR storage with `A·x`, `Aᵀ·x` and row-parallel
 //!   dense products,
 //! - [`svd::randomized_svd`] — the composition of the above, row-parallel
-//!   over the available cores and bit-identical for every thread count
-//!   ([`svd::randomized_svd_reference`] is the serial MGS2 oracle),
+//!   over the available cores and bit-identical for every thread count;
+//!   it orthonormalizes only the short side and applies the tall basis
+//!   implicitly from a Cholesky factor ([`svd::randomized_svd_reference`]
+//!   is the serial oracle with an explicit MGS2 basis at every half-step),
 //! - [`svd::svd_small`] — exact (Gram-based) SVD for small dense matrices,
 //!   used as the reference implementation in tests,
 //! - [`power::power_iteration`] — dominant singular triplet, a cheap

@@ -1,7 +1,7 @@
 //! Orthonormalization of tall-skinny matrices.
 //!
-//! The randomized SVD only needs an orthonormal basis `Q` of the range of a
-//! tall matrix `Y` (m × l, l small). [`orthonormalize`] computes it by
+//! The randomized SVD needs orthonormal bases of the ranges of tall-skinny
+//! matrices `Y` (rows × l, l small). [`orthonormalize`] computes one by
 //! **CholeskyQR2**: form the Gram matrix `G = YᵀY`, factor `G = RᵀR`, set
 //! `Y ← Y·R⁻¹`, and do it all a second time to restore orthogonality to
 //! working precision (Fukaya et al.). Both steps are row-major, blocked and
@@ -18,6 +18,11 @@
 //! Giraud et al.), which replaces degenerate columns by deterministic
 //! pseudo-random directions so `Q` always has exactly orthonormal columns.
 //! MGS2 is also the reference the tests hold CholeskyQR2 to.
+//!
+//! The randomized SVD calls [`orthonormalize`] on its short (`n`-row) side
+//! only; for the tall sketch it uses the Cholesky factor and the row-wise
+//! triangular solve directly, applying `Q = Y·R⁻¹` without forming it, and
+//! falls back to [`orthonormalize`] when that would lose orthogonality.
 
 use crate::dense::Matrix;
 use crate::par;
@@ -58,7 +63,7 @@ pub(crate) fn orthonormalize_with(y: &mut Matrix, threads: usize) -> usize {
 
 /// Upper-triangular `R` with `g = RᵀR`, or `None` on a non-positive or
 /// relatively tiny pivot (see [`PIVOT_TOL`]).
-fn cholesky(g: &Matrix) -> Option<Matrix> {
+pub(crate) fn cholesky(g: &Matrix) -> Option<Matrix> {
     let l = g.rows();
     let mut r = Matrix::zeros(l, l);
     for j in 0..l {
@@ -80,7 +85,7 @@ fn cholesky(g: &Matrix) -> Option<Matrix> {
 /// `Y ← Y·R⁻¹` for upper-triangular `R`, row by row: each row `x` solves
 /// `x·R = y` by forward substitution along `R`'s contiguous rows. Four rows
 /// share each sweep over `R`; every row sees the same operations either way.
-fn solve_upper_rows(y: &mut Matrix, r: &Matrix, threads: usize) {
+pub(crate) fn solve_upper_rows(y: &mut Matrix, r: &Matrix, threads: usize) {
     let l = y.cols();
     par::for_each_chunk(y.as_mut_slice(), l, threads, |_, chunk| {
         let mut quads = chunk.chunks_exact_mut(4 * l);

@@ -1,20 +1,31 @@
 //! Truncated singular value decomposition.
 //!
 //! [`randomized_svd`] implements the Halko–Martinsson–Tropp randomized
-//! range-finder with power iterations: sketch `Y = A·Ω`, orthonormalize,
-//! optionally iterate `Q ← orth(A · orth(Aᵀ Q))` to sharpen the spectrum,
-//! then solve the small problem exactly through the `l × l` Gram matrix of
-//! `B = Qᵀ A`. With a couple of power iterations this recovers the top-k
-//! triplets of graph adjacency matrices to working accuracy — which is all
-//! SpokEn and FBox consume.
+//! range-finder with power iterations: sketch `Y = A·Ω`, optionally iterate
+//! `Y ← A · orth(Aᵀ Y)` to sharpen the spectrum, take an orthonormal basis
+//! `Q` of `Y`, then solve the small problem exactly through the `l × l`
+//! Gram matrix of `B = Qᵀ A`. With a couple of power iterations this
+//! recovers the top-k triplets of graph adjacency matrices to working
+//! accuracy — which is all SpokEn and FBox consume.
+//!
+//! The tall (`m`-row) side is never orthonormalized explicitly on the fast
+//! path. Only the short side `Aᵀ Y` is, since `orth(Aᵀ·Y·R⁻¹) = orth(Aᵀ·Y)`
+//! for upper-triangular `R` with a positive diagonal (thin QR is unique).
+//! At the end a single Gram pass gives `R = chol(YᵀY)`, and `Q = Y·R⁻¹` is
+//! applied implicitly: `Bᵀ = (Aᵀ Y)·R⁻¹` is a triangular solve on the
+//! `n`-row side and `U = Y·(R⁻¹ W)`. One Cholesky pass leaves `Q` off
+//! orthonormal by about `κ(Y)²·ε`, so when the pivot check fails (rank
+//! deficiency) or the bound `‖R‖_F·‖R⁻¹‖_F` on `κ(Y)` exceeds 1e3, `Y` is
+//! orthonormalized explicitly (CholeskyQR2, then MGS2) instead. Two dense
+//! passes over the `m × l` sketch remain per call: the Gram matrix and `U`.
 //!
 //! Every step that touches an `m`- or `n`-row operand is row-parallel over
 //! the available cores and bit-identical for every thread count: the
 //! sparse products (`Aᵀ` is transposed once per call and gathered row by
-//! row), CholeskyQR2 orthonormalization, the Gram matrix of `Bᵀ`, and the
-//! extraction `U = Q·W`, `V = Bᵀ·W·Σ⁻¹`. [`randomized_svd_reference`] is
-//! the same pipeline, serial and with MGS2 orthonormalization: the oracle
-//! the fast path is tested against.
+//! row), the Gram matrices, CholeskyQR2, the triangular solve, and the
+//! products `U = Y·(R⁻¹ W)`, `V = Bᵀ·W·Σ⁻¹`. [`randomized_svd_reference`]
+//! is the textbook pipeline, serial and with an explicit MGS2 basis at every
+//! half-step: the oracle the fast path is tested against.
 //!
 //! [`svd_small`] is the exact Gram-based SVD for small dense matrices; the
 //! test-suite uses it as the reference the randomized method must match.
@@ -22,7 +33,7 @@
 use crate::dense::Matrix;
 use crate::eigen::symmetric_eigen;
 use crate::par;
-use crate::qr::{orthonormalize_mgs2, orthonormalize_with};
+use crate::qr::{cholesky, orthonormalize_mgs2, orthonormalize_with, solve_upper_rows};
 use crate::sparse::CsrMatrix;
 use crate::vector;
 use rand::rngs::StdRng;
@@ -92,6 +103,12 @@ impl Default for SvdOptions {
     }
 }
 
+/// Largest `‖R‖_F·‖R⁻¹‖_F` — an upper bound on `κ(Y)` — for which the
+/// implicit basis `Q = Y·R⁻¹` is used. One Cholesky pass leaves `QᵀQ` off
+/// the identity by about `κ(Y)²·ε`, so at the bound the basis is still
+/// orthonormal to ~1e-10; above it `Y` is orthonormalized explicitly.
+const MAX_IMPLICIT_CONDITION: f64 = 1e3;
+
 /// Computes the top-`k` singular triplets of a sparse matrix.
 ///
 /// `k` is clamped to `min(rows, cols)`. Returns fewer than `k` triplets only
@@ -99,68 +116,139 @@ impl Default for SvdOptions {
 /// so callers can rely on the output rank.
 pub fn randomized_svd(a: &CsrMatrix, k: usize, opts: SvdOptions) -> Svd {
     let threads = par::threads_for(a.rows().max(a.cols()));
-    randomized_svd_with(a, k, opts, threads, orthonormalize_with)
+    randomized_svd_with(a, k, opts, threads)
 }
 
-/// [`randomized_svd`] run serially with MGS2 orthonormalization — the
-/// reference implementation the fast path is tested against. It agrees
-/// with [`randomized_svd`] to rounding on inputs of full sketch rank and is
-/// several times slower on tall input; use it in tests only.
+/// The textbook pipeline — an explicit orthonormal basis at every
+/// half-step, by MGS2, run serially — as the reference implementation the
+/// fast path is tested against. It agrees with [`randomized_svd`] to
+/// rounding on inputs of full sketch rank and is several times slower on
+/// tall input; use it in tests only.
 pub fn randomized_svd_reference(a: &CsrMatrix, k: usize, opts: SvdOptions) -> Svd {
-    randomized_svd_with(a, k, opts, 1, |y, _| orthonormalize_mgs2(y))
+    let Some((k, at, mut q)) = sketch(a, k, opts, 1) else {
+        return empty(a);
+    };
+    orthonormalize_mgs2(&mut q);
+    let mut z = Matrix::zeros(a.cols(), q.cols());
+    for _ in 0..opts.power_iters {
+        at.mat_dense_into(&q, &mut z, 1);
+        orthonormalize_mgs2(&mut z);
+        a.mat_dense_into(&z, &mut q, 1);
+        orthonormalize_mgs2(&mut q);
+    }
+    explicit_tail(&at, q, z, k, 1)
 }
 
-/// The randomized SVD pipeline on `threads` threads with the given
-/// orthonormalizer. The result does not depend on `threads`.
+/// The randomized SVD pipeline on `threads` threads. The result does not
+/// depend on `threads`.
+///
+/// Only the short (`n`-row) side is orthonormalized during the power
+/// iterations: `orth(Aᵀ·Y·R⁻¹) = orth(Aᵀ·Y)` for any upper-triangular `R`
+/// with a positive diagonal, so the tall sketch `Y` can stay as it is. At
+/// the end one Gram pass gives `R = chol(YᵀY)`, and `Q = Y·R⁻¹` is applied
+/// without being formed: `Bᵀ = AᵀQ = (Aᵀ·Y)·R⁻¹` and `U = Y·(R⁻¹·W)`.
 pub(crate) fn randomized_svd_with(
     a: &CsrMatrix,
     k: usize,
     opts: SvdOptions,
     threads: usize,
-    orthonormalize: fn(&mut Matrix, usize) -> usize,
 ) -> Svd {
+    let Some((k, at, mut y)) = sketch(a, k, opts, threads) else {
+        return empty(a);
+    };
+    let mut z = power_iterate(a, &at, &mut y, opts.power_iters, threads);
+    let Some((r, r_inv)) = implicit_factor(&y, threads) else {
+        // Rank-deficient or ill-conditioned sketch: form Q explicitly.
+        orthonormalize_with(&mut y, threads);
+        return explicit_tail(&at, y, z, k, threads);
+    };
+    at.mat_dense_into(&y, &mut z, threads);
+    solve_upper_rows(&mut z, &r, threads);
+    let (s, w, v) = small_factors(&z, k, threads);
+    let u = y.matmul_with(&r_inv.matmul_with(&w, 1), threads);
+    Svd { u, s, v }
+}
+
+/// The clamped rank, `Aᵀ`, and the Gaussian range sketch `Y = A·Ω`
+/// (`m × l`, `l = k + oversample` clamped to the shape); `None` when the
+/// clamped rank is 0.
+fn sketch(
+    a: &CsrMatrix,
+    k: usize,
+    opts: SvdOptions,
+    threads: usize,
+) -> Option<(usize, CsrMatrix, Matrix)> {
     let (m, n) = (a.rows(), a.cols());
     let k = k.min(m).min(n);
     if k == 0 {
-        return Svd {
-            u: Matrix::zeros(m, 0),
-            s: Vec::new(),
-            v: Matrix::zeros(n, 0),
-        };
+        return None;
     }
     let l = (k + opts.oversample).min(m).min(n);
     let at = a.transpose();
-
-    // Gaussian sketch Ω (n × l) and range Y = A·Ω (m × l).
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let omega = gaussian_matrix(n, l, &mut rng);
-    let mut q = a.mat_dense_with(&omega, threads);
-    orthonormalize(&mut q, threads);
+    Some((k, at, a.mat_dense_with(&omega, threads)))
+}
 
-    // Power iterations with re-orthonormalization at each half-step. The
-    // products overwrite `z` and `q` in place rather than allocating.
-    let mut z = Matrix::zeros(n, l);
-    for _ in 0..opts.power_iters {
-        at.mat_dense_into(&q, &mut z, threads);
-        orthonormalize(&mut z, threads);
-        a.mat_dense_into(&z, &mut q, threads);
-        orthonormalize(&mut q, threads);
+/// Runs `iters` power iterations on the sketch, `Y ← A·orth(Aᵀ·Y)`,
+/// leaving `Y` un-normalized. Returns the `n × l` buffer of the last
+/// short-side product (zeros if `iters` is 0) for reuse; the products
+/// overwrite it and `y` in place rather than allocating.
+fn power_iterate(
+    a: &CsrMatrix,
+    at: &CsrMatrix,
+    y: &mut Matrix,
+    iters: usize,
+    threads: usize,
+) -> Matrix {
+    let mut z = Matrix::zeros(a.cols(), y.cols());
+    for _ in 0..iters {
+        at.mat_dense_into(y, &mut z, threads);
+        orthonormalize_with(&mut z, threads);
+        a.mat_dense_into(&z, y, threads);
     }
+    z
+}
 
-    // B = Qᵀ A, materialized transposed: Bt = Aᵀ Q is (n × l).
+/// The rank-0 decomposition of `a`.
+fn empty(a: &CsrMatrix) -> Svd {
+    Svd {
+        u: Matrix::zeros(a.rows(), 0),
+        s: Vec::new(),
+        v: Matrix::zeros(a.cols(), 0),
+    }
+}
+
+/// `R` and `R⁻¹` with `YᵀY = RᵀR`, when `Q = Y·R⁻¹` is orthonormal to
+/// working accuracy: `None` if the Cholesky pivot check fails or the
+/// conditioning bound exceeds [`MAX_IMPLICIT_CONDITION`].
+fn implicit_factor(y: &Matrix, threads: usize) -> Option<(Matrix, Matrix)> {
+    let r = cholesky(&y.gram_with(threads))?;
+    let mut r_inv = Matrix::identity(r.rows());
+    solve_upper_rows(&mut r_inv, &r, 1);
+    let bound = r.frobenius_norm() * r_inv.frobenius_norm();
+    (bound <= MAX_IMPLICIT_CONDITION).then_some((r, r_inv))
+}
+
+/// The decomposition from an explicit orthonormal basis `q` (`m × l`):
+/// `Bᵀ = AᵀQ` is written into `z` (`n × l`) and `U = Q·W`.
+fn explicit_tail(at: &CsrMatrix, q: Matrix, mut z: Matrix, k: usize, threads: usize) -> Svd {
     at.mat_dense_into(&q, &mut z, threads);
-    let bt = z;
+    let (s, w, v) = small_factors(&z, k, threads);
+    let u = q.matmul_with(&w, threads);
+    Svd { u, s, v }
+}
 
-    // Small Gram problem: G = B Bᵀ = Btᵀ Bt (l × l), PSD.
+/// Solves the small problem for `B = Qᵀ·A`, given `Bᵀ` (`n × l`), exactly
+/// through its `l × l` Gram matrix `B·Bᵀ = W·Λ·Wᵀ`: returns `σᵢ = √λᵢ`,
+/// the top-`k` eigenvectors `W` (`l × k`) and `V = Bᵀ·W·Σ⁻¹`.
+fn small_factors(bt: &Matrix, k: usize, threads: usize) -> (Vec<f64>, Matrix, Matrix) {
     let eig = symmetric_eigen(&bt.gram_with(threads));
-
-    // σᵢ = √λᵢ; U = Q W; vᵢ = Bᵀ wᵢ / σᵢ, with W the top-k eigenvectors.
     let s: Vec<f64> = eig.values[..k]
         .iter()
         .map(|&lambda| lambda.max(0.0).sqrt())
         .collect();
-    let w = Matrix::from_fn(l, k, |r, c| eig.vectors[(r, c)]);
-    let u = q.matmul_with(&w, threads);
+    let w = Matrix::from_fn(bt.cols(), k, |r, c| eig.vectors[(r, c)]);
     let mut v = bt.matmul_with(&w, threads);
     for row in v.as_mut_slice().chunks_exact_mut(k) {
         for (x, &sigma) in row.iter_mut().zip(&s) {
@@ -169,8 +257,7 @@ pub(crate) fn randomized_svd_with(
             *x = if sigma > f64::EPSILON { *x / sigma } else { 0.0 };
         }
     }
-
-    Svd { u, s, v }
+    (s, w, v)
 }
 
 /// Exact SVD of a small dense matrix through the Gram matrix of its smaller
@@ -247,11 +334,14 @@ mod tests {
 
     /// Runs the production pipeline at 1, 2 and 3 threads and checks every
     /// factor is bit-identical to the single-threaded one.
-    fn assert_thread_invariant(a: &CsrMatrix, k: usize) -> Result<(), TestCaseError> {
-        let opts = SvdOptions::default();
-        let one = randomized_svd_with(a, k, opts, 1, orthonormalize_with);
+    fn assert_thread_invariant(
+        a: &CsrMatrix,
+        k: usize,
+        opts: SvdOptions,
+    ) -> Result<(), TestCaseError> {
+        let one = randomized_svd_with(a, k, opts, 1);
         for threads in 2..=3 {
-            let svd = randomized_svd_with(a, k, opts, threads, orthonormalize_with);
+            let svd = randomized_svd_with(a, k, opts, threads);
             let s_bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(s_bits(&svd.s), s_bits(&one.s), "σ at {} threads", threads);
             prop_assert_eq!(bits(&svd.u), bits(&one.u), "U at {} threads", threads);
@@ -265,7 +355,7 @@ mod tests {
 
         #[test]
         fn randomized_svd_is_bit_identical_at_any_thread_count(a in arb_sparse(40, 200)) {
-            assert_thread_invariant(&a, 3)?;
+            assert_thread_invariant(&a, 3, SvdOptions::default())?;
         }
     }
 
@@ -274,7 +364,102 @@ mod tests {
         // Over two Gram blocks of rows, so block sums and row chunks split,
         // and an odd row count, so chunks cut the solve's four-row groups
         // differently at each thread count.
-        assert_thread_invariant(&fixture_sparse(9_001, 600, 40_000), 5).unwrap();
+        let a = fixture_sparse(9_001, 600, 40_000);
+        assert_thread_invariant(&a, 5, SvdOptions::default()).unwrap();
+    }
+
+    /// Which tail the fast path takes on `a`.
+    #[derive(Debug, PartialEq)]
+    enum Tail {
+        Implicit,
+        CholeskyFailed,
+        IllConditioned,
+    }
+
+    fn tail_taken(a: &CsrMatrix, k: usize, opts: SvdOptions) -> Tail {
+        let (_, at, mut y) = sketch(a, k, opts, 1).unwrap();
+        power_iterate(a, &at, &mut y, opts.power_iters, 1);
+        if implicit_factor(&y, 1).is_some() {
+            Tail::Implicit
+        } else if cholesky(&y.gram_with(1)).is_none() {
+            Tail::CholeskyFailed
+        } else {
+            Tail::IllConditioned
+        }
+    }
+
+    /// Checks the fast path against the MGS2 reference on `a`: σ to
+    /// 1e-10·(1 + σ), `U` and the first `v_rank` columns of `V` orthonormal
+    /// to 1e-9, and every factor bit-identical at 1–3 threads.
+    fn assert_matches_reference(a: &CsrMatrix, k: usize, opts: SvdOptions, v_rank: usize) {
+        let fast = randomized_svd(a, k, opts);
+        let oracle = randomized_svd_reference(a, k, opts);
+        for (s, r) in fast.s.iter().zip(&oracle.s) {
+            assert!(
+                (s - r).abs() <= 1e-10 * (1.0 + r),
+                "σ {s} vs {r} ({opts:?})"
+            );
+        }
+        assert!(orthonormality_error(&fast.u) < 1e-9, "U ({opts:?})");
+        let v = Matrix::from_fn(fast.v.rows(), v_rank, |r, c| fast.v[(r, c)]);
+        assert!(orthonormality_error(&v) < 1e-9, "V ({opts:?})");
+        assert_thread_invariant(a, k, opts).unwrap();
+    }
+
+    fn power_iters(q: usize) -> SvdOptions {
+        SvdOptions {
+            power_iters: q,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn implicit_basis_matches_the_reference_on_tall_input() {
+        let a = fixture_sparse(9_001, 600, 40_000);
+        for q in [0, 1, 2, 4] {
+            assert_eq!(tail_taken(&a, 5, power_iters(q)), Tail::Implicit, "q = {q}");
+            assert_matches_reference(&a, 5, power_iters(q), 5);
+        }
+    }
+
+    #[test]
+    fn rank_deficient_tall_input_takes_the_explicit_tail() {
+        // Every row repeats one of three patterns: rank 3 < l = 15, so the
+        // sketch's Gram matrix is singular.
+        let triplets: Vec<(u32, u32, f64)> = (0..9_001u32)
+            .flat_map(|r| (0..5u32).map(move |t| (r, (r % 3) * 7 + t, 1.0 + ((r % 3) * t) as f64)))
+            .collect();
+        let a = CsrMatrix::from_triplets(9_001, 600, &triplets);
+        for q in [0, 2] {
+            assert_eq!(
+                tail_taken(&a, 5, power_iters(q)),
+                Tail::CholeskyFailed,
+                "q = {q}"
+            );
+            assert_matches_reference(&a, 5, power_iters(q), 3);
+        }
+    }
+
+    #[test]
+    fn ill_conditioned_tall_input_takes_the_explicit_tail() {
+        // Singular values 10^(-j/2), one per column in scattered rows, and
+        // no oversampling: the sketch's l = 12 columns have κ ≈ 10^5.5, past
+        // the bound but within Cholesky's reach. At q = 0 one implicit pass
+        // would leave U off orthonormal by ~1e-4. V's trailing columns lose
+        // orthogonality in the small Gram problem, the reference's too, so
+        // only its first 4 (σ ≥ 10^-1.5) are held to 1e-9.
+        let triplets: Vec<(u32, u32, f64)> = (0..600u32)
+            .map(|j| ((j * 15 + 7) % 9_001, j, 10f64.powf(-0.5 * j as f64)))
+            .collect();
+        let a = CsrMatrix::from_triplets(9_001, 600, &triplets);
+        for q in [0, 2] {
+            let opts = SvdOptions {
+                oversample: 0,
+                ..power_iters(q)
+            };
+            assert_eq!(tail_taken(&a, 12, opts), Tail::IllConditioned, "q = {q}");
+            assert_matches_reference(&a, 12, opts, 4);
+        }
     }
 
     /// Builds a sparse matrix with exactly known singular values by taking a
