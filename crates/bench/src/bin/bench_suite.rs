@@ -1,6 +1,5 @@
 //! `bench_suite` — the reproducible benchmarks behind `BENCH_PR2.json`
-//! (csr vs naive peeling engines), `BENCH_PR4.json` (sampling data
-//! paths), `BENCH_PR6.json` (bucket-queue peel engines), `BENCH_PR7.json`
+//! (csr vs naive peeling engines), `BENCH_PR7.json`
 //! (incremental vs full scans under sustained ingest), `BENCH_PR8.json`
 //! (the full-JD-scale sharded build + parallel ensemble),
 //! `BENCH_PR9.json` (single methods vs the calibrated hybrid scorer
@@ -16,31 +15,6 @@
 //! * `ensemble_s0.01` / `ensemble_s0.10` — the end-to-end ensemble at the
 //!   paper's two operating ratios (`N = 20` samples each).
 //!
-//! **Sampling phase** compares the two sampling data paths —
-//! `materialize` (every sample built as a compacted `BipartiteGraph`,
-//! the reference) vs `mask` (sample specs resolved lazily against the
-//! shared parent CSR, the default) — on two workload families per ratio:
-//!
-//! * `ensemble_s*` — the end-to-end ensemble scan. Peeling dominates
-//!   here and is bit-identical across paths, so this ratio is an
-//!   Amdahl-diluted view of the data-path change;
-//! * `sampling_s*` — the per-sample draw→ready-`CsrView` data path in
-//!   isolation (the ensemble's exact seed schedule, `N` samples per
-//!   rep), which is the cost this refactor actually changes.
-//!
-//! Both families record the bytes of per-sample state each path
-//! materializes.
-//!
-//! **Peel-engine phase** times the bucket-queue peel engines against the
-//! CSR hot path on the `peel` and `fdet` workloads, three engines
-//! interleaved back-to-back within every rep: `csr` (binary lazy heap),
-//! `bucket` (monotone bucket queue, bit-identical to csr), and
-//! `bucket-batch` (tie rounds removed whole, relaxed in parallel). Its
-//! gate checks the bucket engine bit-identical against csr on the full
-//! `KeepAll` curve, and the batched engine against the documented
-//! score-equality contract (leading-block scores within 1e-9 relative,
-//! same auto-truncation `k̂` with score-equal retained blocks).
-//!
 //! **Incremental phase** replays a ramping fraud campaign
 //! (`ensemfdet_datagen::ramp_timeline`: one base batch registering every
 //! account, then fraud-ring edges arriving over several epochs) through
@@ -55,8 +29,7 @@
 //!
 //! Every workload runs on the small (#1) and large (#3) Table I presets.
 //! Before any timing, an **equivalence gate** re-runs each workload through
-//! both engines (and both sampling paths, across all four sampling
-//! methods) and aborts (exit 1) unless they produce bit-identical
+//! both engines and aborts (exit 1) unless they produce bit-identical
 //! blocks, scores, and ensemble votes — a timing comparison between
 //! non-equivalent implementations would be meaningless.
 //!
@@ -65,11 +38,9 @@
 //! `--scale`, and times the three parallel paths this repo grew for that
 //! size against their sequential baselines, each pair gated bit-identical
 //! first: the sharded CSR build vs the sequential counting sort, the
-//! worker-pool ensemble (`workers = N`) vs the single-worker drain, the
-//! mask vs materialize sample paths under the pool (per-sample subgraph
-//! materialization contends on the allocator across threads; masks over
-//! the shared parent CSR don't), and the NDJSON ingest parser vs the
-//! legacy JSON-array parser on the same records. The speedups are
+//! worker-pool ensemble (`workers = N`) vs the single-worker drain, and
+//! the NDJSON ingest parser vs the legacy JSON-array parser on the same
+//! records. The speedups are
 //! *measured*, not ideal-parallel projections —
 //! on a single-core machine the parallel variants land near (or below)
 //! 1×, and that is the number recorded.
@@ -120,9 +91,7 @@
 //! ```
 //!
 //! `--out FILE` (default `BENCH_PR2.json`) picks the engine artifact
-//! path, `--out-sampling FILE` (default `BENCH_PR4.json`) the sampling
-//! one, `--out-peel FILE` (default `BENCH_PR6.json`) the peel-engine
-//! one, `--out-incremental FILE` (default `BENCH_PR7.json`) the
+//! path, `--out-incremental FILE` (default `BENCH_PR7.json`) the
 //! incremental-scan one, `--out-scale FILE` (default `BENCH_PR8.json`)
 //! the full-scale one, `--out-hybrid FILE` (default `BENCH_PR9.json`)
 //! the hybrid-scoring one, `--out-ingest FILE` (default
@@ -136,7 +105,7 @@ use ensemfdet::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
 use ensemfdet::{
     fdet_with_engine, kcore_scores, normalize_scores, spectral_scores, DetectContext, Detector,
     Engine, EnsemFdet, EnsemFdetConfig, HybridScorer, IncrementalPolicy, MetricKind, ReuseStats,
-    SamplePath, SamplingMethodConfig, ScoreNormalization, ScoringConfig, Truncation,
+    SamplingMethodConfig, ScoreNormalization, ScoringConfig, Truncation,
 };
 use ensemfdet_baselines::{
     standard_detectors, DegreeBaseline, FBox, Fraudar, Hits, KCoreBaseline, Spoken,
@@ -148,10 +117,9 @@ use ensemfdet_datagen::{ramp_timeline, transaction_log_string, TransactionLogCon
 use ensemfdet_graph::loader::parse_csv_record;
 use ensemfdet_graph::{
     load_transactions, ArenaTransactionInterner, BipartiteGraph, ConcurrentTransactionInterner,
-    CsrView, LoadOptions, MerchantId, SampleMaps, SampleSpec, SpecResolver, TransactionInterner,
+    CsrView, LoadOptions, MerchantId, TransactionInterner,
     UserId,
 };
-use ensemfdet_sampling::{seed, Sampler, SamplerScratch, SamplingMethod};
 use ensemfdet_service::api::{parse_json_records, parse_ndjson_records};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -347,309 +315,6 @@ fn median(sorted: &[f64]) -> f64 {
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     let idx = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
     sorted[idx]
-}
-
-// ---------------------------------------------------------------------------
-// Sampling-path phase (BENCH_PR4.json)
-// ---------------------------------------------------------------------------
-
-/// The ensemble ratios timed in the sampling phase — the paper's two
-/// operating points.
-const SAMPLING_RATIOS: [f64; 2] = [0.01, 0.1];
-
-#[derive(Serialize)]
-struct PathCell {
-    workload: String,
-    dataset: &'static str,
-    path: &'static str,
-    reps: usize,
-    median_s: f64,
-    p95_s: f64,
-    min_s: f64,
-    /// Bytes of per-sample state one ensemble pass materializes on this
-    /// path (selection vectors vs full subgraph buffers + intern maps).
-    sample_bytes: u64,
-}
-
-#[derive(Serialize)]
-struct PathSpeedup {
-    workload: String,
-    dataset: &'static str,
-    /// Median of the per-rep `materialize / mask` wall-time ratios —
-    /// above 1 means the mask path is faster.
-    mask_over_materialize: f64,
-    /// `materialize_bytes / mask_bytes` — the allocation-footprint gap.
-    bytes_ratio: f64,
-}
-
-#[derive(Serialize)]
-struct SamplingArtifact {
-    schema: &'static str,
-    smoke: bool,
-    scale: u32,
-    warmup: usize,
-    reps: usize,
-    ensemble_samples: usize,
-    equivalence: &'static str,
-    datasets: Vec<DatasetInfo>,
-    cells: Vec<PathCell>,
-    speedups: Vec<PathSpeedup>,
-}
-
-fn path_config(ratio: f64, path: SamplePath, method: SamplingMethodConfig) -> EnsemFdetConfig {
-    EnsemFdetConfig {
-        num_samples: ENSEMBLE_SAMPLES,
-        sample_ratio: ratio,
-        engine: Engine::Csr,
-        path,
-        method,
-        seed: ENSEMBLE_SEED,
-        ..Default::default()
-    }
-}
-
-/// One timed ensemble pass on `path`; returns the bytes it materialized.
-fn run_path_workload(ratio: f64, g: &BipartiteGraph, path: SamplePath) -> u64 {
-    let outcome = EnsemFdet::new(path_config(ratio, path, SamplingMethodConfig::RandomEdge))
-        .detect(g);
-    std::hint::black_box(outcome.votes.max_user_votes());
-    outcome.sample_bytes()
-}
-
-/// One timed pass over the ensemble's *sampling data path* — the part of
-/// the scan this refactor changes: per sample, draw the sample and build
-/// the ready-to-peel `CsrView`, with the ensemble's exact seed schedule.
-/// The peel itself (bit-identical across paths, and the dominant cost at
-/// `S = 0.1`) is deliberately excluded, so this isolates the
-/// draw→ready-view cost the two paths actually differ on.
-fn run_data_path_workload(
-    ratio: f64,
-    g: &BipartiteGraph,
-    path: SamplePath,
-    state: &mut DataPathState,
-) {
-    for i in 0..ENSEMBLE_SAMPLES as u64 {
-        let sample_seed = seed::derive(ENSEMBLE_SEED, i);
-        match path {
-            SamplePath::Materialize => {
-                let sampled = SamplingMethod::RandomEdge.sample(g, ratio, sample_seed);
-                state.view.rebuild(&sampled.graph, None);
-            }
-            SamplePath::Mask => {
-                SamplingMethod::RandomEdge.sample_spec(
-                    g,
-                    ratio,
-                    sample_seed,
-                    &mut state.scratch,
-                    &mut state.spec,
-                );
-                state
-                    .view
-                    .rebuild_from_spec(g, &state.spec, &mut state.resolver, &mut state.maps);
-            }
-        }
-        std::hint::black_box(state.view.num_edges());
-    }
-}
-
-/// Reusable buffers for [`run_data_path_workload`], mirroring the
-/// per-thread scratch the ensemble holds.
-#[derive(Default)]
-struct DataPathState {
-    view: CsrView,
-    scratch: SamplerScratch,
-    spec: SampleSpec,
-    resolver: SpecResolver,
-    maps: SampleMaps,
-}
-
-/// `warmup` unmeasured alternating passes, then `reps` measured wall
-/// times per path, interleaved within every rep.
-fn time_data_path_pair(
-    ratio: f64,
-    g: &BipartiteGraph,
-    warmup: usize,
-    reps: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut state = DataPathState::default();
-    for _ in 0..warmup {
-        run_data_path_workload(ratio, g, SamplePath::Materialize, &mut state);
-        run_data_path_workload(ratio, g, SamplePath::Mask, &mut state);
-    }
-    let mut materialize = Vec::with_capacity(reps);
-    let mut mask = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        run_data_path_workload(ratio, g, SamplePath::Materialize, &mut state);
-        materialize.push(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        run_data_path_workload(ratio, g, SamplePath::Mask, &mut state);
-        mask.push(t.elapsed().as_secs_f64());
-    }
-    (materialize, mask)
-}
-
-/// Both sampling paths must agree exactly — votes, evidence, per-sample
-/// blocks and scores — across all four sampling methods before we time
-/// them.
-fn sampling_equivalence_gate(g: &BipartiteGraph) -> Result<(), String> {
-    for method in [
-        SamplingMethodConfig::RandomEdge,
-        SamplingMethodConfig::OneSideUser,
-        SamplingMethodConfig::OneSideMerchant,
-        SamplingMethodConfig::TwoSide,
-    ] {
-        let run = |path| EnsemFdet::new(path_config(0.3, path, method)).detect(g);
-        let (mask, mat) = (run(SamplePath::Mask), run(SamplePath::Materialize));
-        if mask.votes != mat.votes {
-            return Err(format!("{method:?}: ensemble votes differ between paths"));
-        }
-        if mask.evidence.user_evidence != mat.evidence.user_evidence {
-            return Err(format!("{method:?}: evidence differs between paths"));
-        }
-        for (a, b) in mask.samples.iter().zip(&mat.samples) {
-            if a.scores != b.scores
-                || a.sample_nodes != b.sample_nodes
-                || a.sample_edges != b.sample_edges
-                || a.k_hat != b.k_hat
-            {
-                return Err(format!(
-                    "{method:?}: sample #{} diagnostics differ between paths",
-                    a.index
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `warmup` unmeasured alternating runs, then `reps` measured wall times
-/// per path, interleaved materialize/mask within every rep (same drift
-/// rationale as [`time_workload_pair`]).
-fn time_sampling_pair(
-    ratio: f64,
-    g: &BipartiteGraph,
-    warmup: usize,
-    reps: usize,
-) -> (Vec<f64>, Vec<f64>, [u64; 2]) {
-    for _ in 0..warmup {
-        run_path_workload(ratio, g, SamplePath::Materialize);
-        run_path_workload(ratio, g, SamplePath::Mask);
-    }
-    let mut materialize = Vec::with_capacity(reps);
-    let mut mask = Vec::with_capacity(reps);
-    let mut bytes = [0u64; 2];
-    for _ in 0..reps {
-        let t = Instant::now();
-        bytes[0] = run_path_workload(ratio, g, SamplePath::Materialize);
-        materialize.push(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        bytes[1] = run_path_workload(ratio, g, SamplePath::Mask);
-        mask.push(t.elapsed().as_secs_f64());
-    }
-    (materialize, mask, bytes)
-}
-
-// ---------------------------------------------------------------------------
-// Peel-engine phase (BENCH_PR6.json)
-// ---------------------------------------------------------------------------
-
-/// The engines timed in the peel-engine phase: the incumbent CSR hot path
-/// and its two bucket-queue challengers.
-const PEEL_ENGINES: [Engine; 3] = [Engine::Csr, Engine::Bucket, Engine::BucketBatch];
-
-#[derive(Serialize)]
-struct PeelSpeedup {
-    workload: &'static str,
-    dataset: &'static str,
-    /// Median per-rep `csr / bucket` wall-time ratio — above 1 means the
-    /// sequential bucket queue is faster.
-    bucket_over_csr: f64,
-    /// Median per-rep `csr / bucket-batch` ratio.
-    bucket_batch_over_csr: f64,
-}
-
-#[derive(Serialize)]
-struct PeelArtifact {
-    schema: &'static str,
-    smoke: bool,
-    scale: u32,
-    warmup: usize,
-    reps: usize,
-    /// `"bit-identical"` for `bucket`, `"score-equality"` for
-    /// `bucket-batch` — the two gates [`peel_engine_gate`] enforced.
-    equivalence: &'static str,
-    datasets: Vec<DatasetInfo>,
-    cells: Vec<Cell>,
-    speedups: Vec<PeelSpeedup>,
-}
-
-/// The bucket engine must be bit-identical to csr on the full `KeepAll`
-/// curve; the batched engine must satisfy the score-equality contract
-/// (leading-block score within 1e-9 relative; same auto-truncation `k̂`
-/// with score-equal retained blocks).
-fn peel_engine_gate(g: &BipartiteGraph) -> Result<(), String> {
-    let keep = |e| fdet_with_engine(g, &MetricKind::default(), Truncation::KeepAll { k_max: 50 }, e);
-    let (csr, bucket) = (keep(Engine::Csr), keep(Engine::Bucket));
-    if bucket.blocks != csr.blocks {
-        return Err("bucket FDET blocks differ from csr".into());
-    }
-    if bucket.scores != csr.scores {
-        return Err("bucket FDET scores differ from csr".into());
-    }
-
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
-    let batch = keep(Engine::BucketBatch);
-    if batch.scores.is_empty() != csr.scores.is_empty() {
-        return Err("bucket-batch peeled a different number of leading blocks".into());
-    }
-    if let (Some(&a), Some(&b)) = (csr.scores.first(), batch.scores.first()) {
-        if !close(a, b) {
-            return Err(format!("bucket-batch leading block score {b} vs csr {a}"));
-        }
-    }
-    let auto = |e| fdet_with_engine(g, &MetricKind::default(), Truncation::default(), e);
-    let (csr_auto, batch_auto) = (auto(Engine::Csr), auto(Engine::BucketBatch));
-    if batch_auto.k_hat != csr_auto.k_hat {
-        return Err(format!(
-            "bucket-batch k_hat {} vs csr {}",
-            batch_auto.k_hat, csr_auto.k_hat
-        ));
-    }
-    for i in 0..csr_auto.k_hat {
-        if !close(csr_auto.scores[i], batch_auto.scores[i]) {
-            return Err(format!(
-                "bucket-batch retained score {i}: {} vs csr {}",
-                batch_auto.scores[i], csr_auto.scores[i]
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// `warmup` unmeasured alternating runs, then `reps` measured wall times
-/// per engine, the three engines interleaved back-to-back within every
-/// rep (same drift rationale as [`time_workload_pair`]).
-fn time_engine_trio(
-    w: WorkloadKind,
-    g: &BipartiteGraph,
-    warmup: usize,
-    reps: usize,
-) -> [Vec<f64>; 3] {
-    for _ in 0..warmup {
-        for e in PEEL_ENGINES {
-            run_workload(w, g, e);
-        }
-    }
-    let mut times = [Vec::new(), Vec::new(), Vec::new()];
-    for _ in 0..reps {
-        for (slot, e) in PEEL_ENGINES.into_iter().enumerate() {
-            let t = Instant::now();
-            run_workload(w, g, e);
-            times[slot].push(t.elapsed().as_secs_f64());
-        }
-    }
-    times
 }
 
 /// Both engines must agree exactly on every workload before we time them.
@@ -1685,16 +1350,6 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_PR2.json".to_string());
-    let out_sampling = args
-        .iter()
-        .position(|a| a == "--out-sampling")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR4.json".to_string());
-    let out_peel = args
-        .iter()
-        .position(|a| a == "--out-peel")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR6.json".to_string());
     let out_incremental = args
         .iter()
         .position(|a| a == "--out-incremental")
@@ -1749,26 +1404,6 @@ fn main() {
         if let Err(e) = equivalence_gate(&ds.graph) {
             println!("FAILED");
             eprintln!("engine equivalence gate failed on {}: {e}", dataset_tag(*which));
-            std::process::exit(1);
-        }
-        println!("ok");
-        print!("equivalence gate (bucket engines) ... ");
-        if let Err(e) = peel_engine_gate(&ds.graph) {
-            println!("FAILED");
-            eprintln!(
-                "peel-engine equivalence gate failed on {}: {e}",
-                dataset_tag(*which)
-            );
-            std::process::exit(1);
-        }
-        println!("ok");
-        print!("equivalence gate (sampling paths) ... ");
-        if let Err(e) = sampling_equivalence_gate(&ds.graph) {
-            println!("FAILED");
-            eprintln!(
-                "sampling-path equivalence gate failed on {}: {e}",
-                dataset_tag(*which)
-            );
             std::process::exit(1);
         }
         println!("ok");
@@ -1851,153 +1486,6 @@ fn main() {
         Ok(()) => println!("\n[saved {out_path}]"),
         Err(e) => {
             eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // -- Sampling-path phase ------------------------------------------------
-    println!("\n== bench_suite: mask vs materialize sampling paths ==\n");
-    let mut path_cells = Vec::new();
-    let mut path_speedups = Vec::new();
-    for ratio in SAMPLING_RATIOS {
-        for (which, ds) in &suite {
-            let (materialize, mask, bytes) =
-                time_sampling_pair(ratio, &ds.graph, warmup, reps);
-            let (dp_materialize, dp_mask) = time_data_path_pair(ratio, &ds.graph, warmup, reps);
-            for (workload, materialize, mask) in [
-                (format!("ensemble_s{ratio:.2}"), materialize, mask),
-                (format!("sampling_s{ratio:.2}"), dp_materialize, dp_mask),
-            ] {
-                let mut ratios: Vec<f64> = materialize
-                    .iter()
-                    .zip(&mask)
-                    .map(|(m, k)| m / k.max(1e-12))
-                    .collect();
-                ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-                let speedup = median(&ratios);
-                let mut medians = [0.0f64; 2];
-                for (slot, (path, times)) in [("materialize", materialize), ("mask", mask)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let mut times = times;
-                    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                    medians[slot] = median(&times);
-                    path_cells.push(PathCell {
-                        workload: workload.clone(),
-                        dataset: dataset_tag(*which),
-                        path,
-                        reps,
-                        median_s: median(&times),
-                        p95_s: percentile(&times, 0.95),
-                        min_s: times[0],
-                        sample_bytes: bytes[slot],
-                    });
-                }
-                println!(
-                    "{:<16} {:<4} materialize {:>9.3} ms  mask {:>9.3} ms  speedup {:.2}x  bytes {:.0}x",
-                    workload,
-                    dataset_tag(*which),
-                    medians[0] * 1e3,
-                    medians[1] * 1e3,
-                    speedup,
-                    bytes[0] as f64 / bytes[1].max(1) as f64,
-                );
-                path_speedups.push(PathSpeedup {
-                    workload: workload.clone(),
-                    dataset: dataset_tag(*which),
-                    mask_over_materialize: speedup,
-                    bytes_ratio: bytes[0] as f64 / bytes[1].max(1) as f64,
-                });
-            }
-        }
-    }
-    let sampling_artifact = SamplingArtifact {
-        schema: "ensemfdet-sampling-path/v1",
-        smoke,
-        scale,
-        warmup,
-        reps,
-        ensemble_samples: ENSEMBLE_SAMPLES,
-        equivalence: "ok",
-        datasets: infos.clone(),
-        cells: path_cells,
-        speedups: path_speedups,
-    };
-    match ensemfdet_eval::write_json(&sampling_artifact, &out_sampling) {
-        Ok(()) => println!("\n[saved {out_sampling}]"),
-        Err(e) => {
-            eprintln!("cannot write {out_sampling}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // -- Peel-engine phase --------------------------------------------------
-    println!("\n== bench_suite: csr vs bucket vs bucket-batch peel engines ==\n");
-    let mut peel_cells = Vec::new();
-    let mut peel_speedups = Vec::new();
-    for w in [WORKLOADS[0], WORKLOADS[1]] {
-        for (which, ds) in &suite {
-            let trio = time_engine_trio(w.kind, &ds.graph, warmup, reps);
-            // Per-rep csr/challenger ratios — slot 0 is csr.
-            let ratio_vs_csr = |slot: usize| -> f64 {
-                let mut ratios: Vec<f64> = trio[0]
-                    .iter()
-                    .zip(&trio[slot])
-                    .map(|(c, x)| c / x.max(1e-12))
-                    .collect();
-                ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-                median(&ratios)
-            };
-            let (bucket_ratio, batch_ratio) = (ratio_vs_csr(1), ratio_vs_csr(2));
-            let mut medians = [0.0f64; 3];
-            for (slot, engine) in PEEL_ENGINES.into_iter().enumerate() {
-                let mut times = trio[slot].clone();
-                times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                medians[slot] = median(&times);
-                peel_cells.push(Cell {
-                    workload: w.name,
-                    dataset: dataset_tag(*which),
-                    engine: engine.name(),
-                    reps,
-                    median_s: median(&times),
-                    p95_s: percentile(&times, 0.95),
-                    min_s: times[0],
-                });
-            }
-            println!(
-                "{:<6} {:<4} csr {:>9.3} ms  bucket {:>9.3} ms ({:.2}x)  bucket-batch {:>9.3} ms ({:.2}x)",
-                w.name,
-                dataset_tag(*which),
-                medians[0] * 1e3,
-                medians[1] * 1e3,
-                bucket_ratio,
-                medians[2] * 1e3,
-                batch_ratio,
-            );
-            peel_speedups.push(PeelSpeedup {
-                workload: w.name,
-                dataset: dataset_tag(*which),
-                bucket_over_csr: bucket_ratio,
-                bucket_batch_over_csr: batch_ratio,
-            });
-        }
-    }
-    let peel_artifact = PeelArtifact {
-        schema: "ensemfdet-peel-engine/v1",
-        smoke,
-        scale,
-        warmup,
-        reps,
-        equivalence: "bucket: bit-identical; bucket-batch: score-equality",
-        datasets: infos,
-        cells: peel_cells,
-        speedups: peel_speedups,
-    };
-    match ensemfdet_eval::write_json(&peel_artifact, &out_peel) {
-        Ok(()) => println!("\n[saved {out_peel}]"),
-        Err(e) => {
-            eprintln!("cannot write {out_peel}: {e}");
             std::process::exit(1);
         }
     }
@@ -2213,48 +1701,6 @@ fn main() {
         summarize_scale_pair(
             &format!("ensemble_s{ratio:.2}"),
             ["workers_1", &workers_name],
-            base,
-            var,
-            reps,
-            &mut scale_cells,
-            &mut scale_speedups,
-        );
-    }
-    // The mask path's allocator-contention win: under the worker pool,
-    // materialize builds every sample as its own compacted subgraph —
-    // N threads hammering the global allocator — while mask threads only
-    // write selection vectors over the shared parent CSR.
-    {
-        let cfg_of = |path| EnsemFdetConfig {
-            num_samples: ENSEMBLE_SAMPLES,
-            sample_ratio: SCALE_RATIOS[1],
-            path,
-            seed: ENSEMBLE_SEED,
-            ..Default::default()
-        };
-        let (base, var) = time_variant_pair(
-            warmup,
-            reps,
-            || {
-                std::hint::black_box(
-                    EnsemFdet::with_workers(cfg_of(SamplePath::Materialize), workers)
-                        .detect(g)
-                        .votes
-                        .max_user_votes(),
-                );
-            },
-            || {
-                std::hint::black_box(
-                    EnsemFdet::with_workers(cfg_of(SamplePath::Mask), workers)
-                        .detect(g)
-                        .votes
-                        .max_user_votes(),
-                );
-            },
-        );
-        summarize_scale_pair(
-            &format!("pool_path_s{:.2}", SCALE_RATIOS[1]),
-            [&format!("materialize_w{workers}"), &format!("mask_w{workers}")],
             base,
             var,
             reps,

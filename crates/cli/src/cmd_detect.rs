@@ -3,7 +3,7 @@
 use crate::args::Args;
 use ensemfdet::{
     hybrid_scan_scores, DetectContext, EnsemFdet, EnsemFdetConfig, EnsembleOutcome,
-    HybridScanScores, SamplePath, SamplingMethodConfig,
+    HybridScanScores, SamplingMethodConfig,
 };
 use ensemfdet_baselines::{DegreeBaseline, FBox, FBoxConfig, Fraudar, FraudarConfig, Hits, KCoreBaseline, Spoken, SpokenConfig};
 use ensemfdet_graph::{io, BipartiteGraph};
@@ -23,9 +23,6 @@ OPTIONS:
     --ratio S             sample ratio S [default: 0.1]
     --threshold T         vote threshold [default: N/2]
     --sampling M          res | ons-user | ons-merchant | tns [default: res]
-    --engine E            csr | bucket | bucket-batch | naive peeling engine
-                          [default: csr]
-    --sample-path P       mask | materialize sampling data path [default: mask]
     --seed N              RNG seed [default: 42]
     --workers W           worker threads for the sample pool; results are
                           identical for every W [default: 0 = auto]
@@ -88,8 +85,8 @@ pub(crate) fn sampling_method(args: &Args) -> Result<SamplingMethodConfig, Strin
 /// flight on average — not a speedup, since contention stretches every
 /// sample's own time), the worker count with each worker's busy time, the
 /// per-stage CPU-time split (sampling / detection / aggregation), and the
-/// sampling data path with the bytes it materialized.
-pub(crate) fn timing_summary(path: SamplePath, outcome: &EnsembleOutcome) -> String {
+/// bytes of per-sample selection state the sample specs drew.
+pub(crate) fn timing_summary(outcome: &EnsembleOutcome) -> String {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let n = outcome.samples.len().max(1);
     let total = outcome.total_sample_time();
@@ -105,7 +102,7 @@ pub(crate) fn timing_summary(path: SamplePath, outcome: &EnsembleOutcome) -> Str
         "timing: {:.1} ms wall-clock over {} samples; per-sample mean {:.1} ms, max {:.1} ms; sample overlap {:.1}x\n\
          workers: {} (busy mean {:.1} ms, max {:.1} ms)\n\
          stages: sampling {:.1} ms, detection {:.1} ms, aggregation {:.1} ms (CPU time summed over samples)\n\
-         sample path: {path}, {} bytes materialized ({:.0} per sample)",
+         sample selection: {} bytes ({:.0} per sample)",
         ms(outcome.elapsed),
         n,
         ms(total) / n as f64,
@@ -127,16 +124,6 @@ pub(crate) fn ensemfdet_config(args: &Args) -> Result<EnsemFdetConfig, String> {
         num_samples: args.get_or("samples", 80)?,
         sample_ratio: args.get_or("ratio", 0.1)?,
         method: sampling_method(args)?,
-        engine: args
-            .get("engine")
-            .map(|e| e.parse())
-            .transpose()?
-            .unwrap_or_default(),
-        path: args
-            .get("sample-path")
-            .map(|p| p.parse())
-            .transpose()?
-            .unwrap_or_default(),
         seed: args.get_or("seed", 42)?,
         scoring: args
             .get("scoring")
@@ -203,7 +190,7 @@ pub fn run(args: &Args) -> Result<String, String> {
             args.finish()?;
             let outcome = EnsemFdet::with_workers(cfg, workers).detect(&g);
             if timing {
-                timing_note = Some(timing_summary(cfg.path, &outcome));
+                timing_note = Some(timing_summary(&outcome));
             }
             if let Some(hybrid) = hybrid_pass(&g, &outcome, &cfg) {
                 // The hybrid set and fused scores replace the vote ones
@@ -404,8 +391,8 @@ mod tests {
         assert!(out.contains("sample overlap"), "{out}");
         assert!(!out.contains("speedup"), "{out}");
         assert!(out.contains("stages: sampling"), "{out}");
-        assert!(out.contains("sample path: mask"), "{out}");
-        assert!(out.contains("bytes materialized"), "{out}");
+        assert!(out.contains("sample selection: "), "{out}");
+        assert!(!out.contains("materialized"), "{out}");
         assert!(out.contains("workers: "), "{out}");
     }
 
@@ -422,39 +409,6 @@ mod tests {
         ))
         .unwrap();
         assert!(timed.contains("workers: 2"), "{timed}");
-    }
-
-    #[test]
-    fn sample_path_flag_selects_path_and_agrees() {
-        let gf = graph_file("sample_path_flag_selects_path_and_agrees");
-        let base = &["--graph", gf.as_str(), "--samples", "6", "--ratio", "0.5"];
-        let mask =
-            run(&args(&[base as &[_], &["--sample-path", "mask"]].concat())).unwrap();
-        let mat =
-            run(&args(&[base as &[_], &["--sample-path", "materialize"]].concat())).unwrap();
-        assert_eq!(mask, mat, "paths must flag identical users");
-        let err =
-            run(&args(&[base as &[_], &["--sample-path", "mmap"]].concat())).unwrap_err();
-        assert!(err.contains("unknown sample path"), "{err}");
-        // --timing reports which path ran.
-        let timed = run(&args(
-            &[base as &[_], &["--sample-path", "materialize", "--timing"]].concat(),
-        ))
-        .unwrap();
-        assert!(timed.contains("sample path: materialize"), "{timed}");
-    }
-
-    #[test]
-    fn engine_flag_selects_engine_and_agrees() {
-        let gf = graph_file("engine_flag_selects_engine_and_agrees");
-        let base = &["--graph", gf.as_str(), "--samples", "6", "--ratio", "0.5"];
-        let csr = run(&args(&[base as &[_], &["--engine", "csr"]].concat())).unwrap();
-        for engine in ["naive", "bucket", "bucket-batch"] {
-            let other = run(&args(&[base as &[_], &["--engine", engine]].concat())).unwrap();
-            assert_eq!(csr, other, "{engine} must flag identical users");
-        }
-        let err = run(&args(&[base as &[_], &["--engine", "warp"]].concat())).unwrap_err();
-        assert!(err.contains("unknown engine"), "{err}");
     }
 
     #[test]

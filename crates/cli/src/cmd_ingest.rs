@@ -198,7 +198,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         }
         if timing {
             report.push('\n');
-            report.push_str(&timing_summary(cfg.path, &outcome));
+            report.push_str(&timing_summary(&outcome));
             if let Some(h) = &hybrid {
                 report.push('\n');
                 report.push_str(&hybrid_timing(h));

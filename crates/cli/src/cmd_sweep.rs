@@ -19,7 +19,7 @@ OPTIONS:
                           [default: ensemfdet]
     --json FILE           also write the curve as JSON
   ensemfdet:
-    --samples N  --ratio S  --sampling M  --engine E  --sample-path P  --seed N
+    --samples N  --ratio S  --sampling M  --seed N
     --workers W           (as in `detect`)
     --timing              print the ensemble's wall-clock breakdown (and
                           the hybrid components' under --scoring)
@@ -63,7 +63,7 @@ pub fn run(args: &Args) -> Result<String, String> {
             args.finish()?;
             let outcome = EnsemFdet::with_workers(cfg, workers).detect(&g);
             if timing {
-                timing_note = Some(timing_summary(cfg.path, &outcome));
+                timing_note = Some(timing_summary(&outcome));
             }
             if let Some(hybrid) = hybrid_pass(&g, &outcome, &cfg) {
                 // Sweep the fused score itself — a far finer operating

@@ -42,17 +42,12 @@ pub struct EnsemFdetConfig {
     pub metric: MetricKind,
     /// Block truncation strategy (Definition 3 by default).
     pub truncation: Truncation,
-    /// Peeling engine backing every FDET run (CSR hot path by default;
-    /// `bucket` is its bit-identical O(E) twin, `bucket-batch` the
-    /// tie-round parallel variant, and the naive reference path produces
-    /// identical results, slower).
+    /// Peeling engine backing every FDET run: the CSR hot path by default,
+    /// which resolves each sample as a spec against the shared parent
+    /// snapshot. The naive reference engine materializes every sample as
+    /// a compacted graph copy instead; both yield bit-identical votes,
+    /// evidence, and scores.
     pub engine: Engine,
-    /// Sampling data path: resolve sample specs lazily against the shared
-    /// parent snapshot (`Mask`, default) or materialize each sample as a
-    /// compacted graph copy (`Materialize`, the reference path). Both
-    /// yield bit-identical votes, evidence, and scores.
-    #[serde(default)]
-    pub path: SamplePath,
     /// Master RNG seed.
     pub seed: u64,
     /// Hybrid scoring: fuse the vote fraction with spectral and k-core
@@ -63,54 +58,6 @@ pub struct EnsemFdetConfig {
     /// the `config_changed` full-scan fallback.
     #[serde(default)]
     pub scoring: crate::scoring::ScoringConfig,
-}
-
-/// How each sampled run gets its subgraph.
-///
-/// `Mask` is the zero-copy path: the sampler emits a
-/// [`ensemfdet_graph::SampleSpec`] into per-thread scratch and the engine
-/// compacts it straight into its reusable `CsrView` — per-sample
-/// allocation is O(sample), not O(parent + sample). `Materialize` builds
-/// the compacted [`SampledGraph`] copy first (the original data path) and
-/// remains as the reference for equivalence gates; it is also what the
-/// naive engine runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SamplePath {
-    /// Materialize each sample as a compacted `BipartiteGraph` copy.
-    Materialize,
-    /// Resolve sample specs lazily against the shared parent snapshot.
-    #[default]
-    Mask,
-}
-
-impl SamplePath {
-    /// Stable lowercase name (`mask` / `materialize`), as accepted by
-    /// [`SamplePath::from_str`](std::str::FromStr) and the CLI
-    /// `--sample-path` flag.
-    pub fn name(self) -> &'static str {
-        match self {
-            SamplePath::Materialize => "materialize",
-            SamplePath::Mask => "mask",
-        }
-    }
-}
-
-impl std::fmt::Display for SamplePath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for SamplePath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "mask" => Ok(SamplePath::Mask),
-            "materialize" => Ok(SamplePath::Materialize),
-            other => Err(format!("unknown sample path `{other}` (mask|materialize)")),
-        }
-    }
 }
 
 /// Serializable mirror of [`SamplingMethod`] (the sampling crate keeps its
@@ -149,7 +96,6 @@ impl Default for EnsemFdetConfig {
             metric: MetricKind::default(),
             truncation: Truncation::default(),
             engine: Engine::default(),
-            path: SamplePath::default(),
             seed: 0x0001_15ED,
             scoring: crate::scoring::ScoringConfig::default(),
         }
@@ -406,12 +352,11 @@ impl EnsemFdet {
     /// Runs Algorithm 2 on `g`: sample `N` subgraphs, run FDET on each in
     /// parallel, and tally votes in the parent id space.
     ///
-    /// With [`SamplePath::Mask`] (the default) and any view engine (CSR,
-    /// bucket, or bucket-batch), every sample is a lightweight spec
-    /// resolved against `g` through per-thread scratch — no subgraph
-    /// copies. The materializing path runs otherwise (including under the
-    /// naive engine, which peels a real `BipartiteGraph` by definition);
-    /// both produce bit-identical votes, evidence, and scores.
+    /// Under the CSR engine every sample is a lightweight spec resolved
+    /// against `g` through per-thread scratch — no subgraph copies. The
+    /// naive reference engine peels a real `BipartiteGraph` by definition,
+    /// so it materializes each sample; both produce bit-identical votes,
+    /// evidence, and scores.
     pub fn detect(&self, g: &BipartiteGraph) -> EnsembleOutcome {
         self.detect_with_cache(g, 0).0
     }
@@ -520,26 +465,22 @@ impl EnsemFdet {
         (outcome, stats, next)
     }
 
-    /// One sampled run by the configured path (see
-    /// [`detect`](Self::detect) for the mask/materialize split).
+    /// One sampled run: the mask path under the CSR engine, the
+    /// materializing path under the naive one.
     ///
-    /// The naive engine deliberately ignores [`SamplePath::Mask`] and
-    /// always materializes. It is the equivalence-only oracle: its value
-    /// is being a direct, independent transcription of the paper's FDET
-    /// over a plain [`BipartiteGraph`], sharing *no* machinery with the
-    /// optimized path. Threading `SamplePath` through it would mean
-    /// teaching it the `CsrView`/`SpecResolver` mask infrastructure — the
-    /// very code it exists to cross-check — so any resolver bug would
-    /// cancel out of the equivalence gates instead of tripping them. The
-    /// gates in `tests/tests/spec_equivalence.rs` close the loop from the
-    /// other side (mask path ≡ materialized path under the view engines),
-    /// so every pairing is still covered: naive ≡ materialized ≡ mask.
+    /// The naive engine always materializes. It is the equivalence-only
+    /// oracle: its value is being a direct, independent transcription of
+    /// the paper's FDET over a plain [`BipartiteGraph`], sharing *no*
+    /// machinery with the optimized path. Teaching it the
+    /// `CsrView`/`SpecResolver` mask infrastructure — the very code it
+    /// exists to cross-check — would let any resolver bug cancel out of
+    /// the equivalence gates instead of tripping them. The gates in
+    /// `tests/tests/spec_equivalence.rs` compare the two configurations
+    /// directly, so naive ≡ materialized ≡ mask stays covered.
     fn run_sample(&self, g: &BipartiteGraph, method: SamplingMethod, i: usize) -> SampleContribution {
-        let use_mask = self.config.path == SamplePath::Mask && self.config.engine != Engine::Naive;
-        if use_mask {
-            self.run_sample_mask(g, method, i)
-        } else {
-            self.run_sample_materialized(g, method, i)
+        match self.config.engine {
+            Engine::Csr => self.run_sample_mask(g, method, i),
+            Engine::Naive => self.run_sample_materialized(g, method, i),
         }
     }
 
@@ -602,7 +543,7 @@ impl EnsemFdet {
     }
 
     /// One sampled run on the materializing path: draw → compact a
-    /// `SampledGraph` copy → peel it with the configured engine.
+    /// `SampledGraph` copy → peel it with the naive engine.
     fn run_sample_materialized(
         &self,
         g: &BipartiteGraph,
@@ -894,9 +835,10 @@ mod tests {
         assert_eq!(out.votes.max_user_votes(), 0);
     }
 
-    /// The mask path must be observationally identical to the reference
-    /// materializing path: same votes, evidence, and per-sample blocks,
-    /// scores, and node/edge counts for every sampling method.
+    /// The mask path (CSR engine, the default) must be observationally
+    /// identical to the naive engine's materializing path: same votes,
+    /// evidence, and per-sample blocks, scores, and node/edge counts for
+    /// every sampling method.
     #[test]
     fn mask_path_matches_materialized_path() {
         let g = planted(10, 4, 80);
@@ -908,9 +850,8 @@ mod tests {
         ] {
             let mut cfg = quick_config(8, 0.4);
             cfg.method = method;
-            cfg.path = SamplePath::Mask;
             let mask = EnsemFdet::new(cfg).detect(&g);
-            cfg.path = SamplePath::Materialize;
+            cfg.engine = Engine::Naive;
             let mat = EnsemFdet::new(cfg).detect(&g);
 
             assert_eq!(mask.votes, mat.votes, "{method:?}");
@@ -929,19 +870,21 @@ mod tests {
         }
     }
 
-    /// The naive engine has no CSR view to mask over, so a mask-path
-    /// config silently falls back to materializing — results still match
-    /// the CSR paths exactly.
+    /// The naive engine has no CSR view to mask over, so it always
+    /// materializes its samples — its byte accounting is the compacted
+    /// copy's, and results still match the CSR path exactly.
     #[test]
     fn naive_engine_falls_back_to_materializing() {
         let g = planted(8, 3, 60);
         let mut cfg = quick_config(6, 0.4);
         cfg.engine = Engine::Naive;
-        cfg.path = SamplePath::Mask;
         let naive = EnsemFdet::new(cfg).detect(&g);
         cfg.engine = Engine::Csr;
         let csr = EnsemFdet::new(cfg).detect(&g);
         assert_eq!(naive.votes, csr.votes);
+        for s in &naive.samples {
+            assert!(s.sample_bytes >= ((g.num_users() + g.num_merchants()) * 4) as u64);
+        }
     }
 
     /// Replaying every sample across an unchanged-graph delta must be
@@ -1084,17 +1027,16 @@ mod tests {
         assert_eq!(inc1.evidence.user_evidence, inc4.evidence.user_evidence);
     }
 
-    /// Mask-path bookkeeping is O(sample selection); the materializing
-    /// path pays for intern maps over the whole parent plus the subgraph
-    /// buffers. On a graph much larger than the sample the byte counters
-    /// must reflect that gap.
+    /// Mask-path bookkeeping is O(sample selection); the naive engine's
+    /// materializing path pays for intern maps over the whole parent plus
+    /// the subgraph buffers. On a graph much larger than the sample the
+    /// byte counters must reflect that gap.
     #[test]
     fn mask_path_materializes_fewer_bytes() {
         let g = planted(10, 4, 400);
         let mut cfg = quick_config(6, 0.1);
-        cfg.path = SamplePath::Mask;
         let mask = EnsemFdet::new(cfg).detect(&g);
-        cfg.path = SamplePath::Materialize;
+        cfg.engine = Engine::Naive;
         let mat = EnsemFdet::new(cfg).detect(&g);
         assert!(mask.sample_bytes() > 0);
         assert!(

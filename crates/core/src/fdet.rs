@@ -7,10 +7,9 @@
 //! sets), and stop at the truncating point `k̂` (Definition 3) — or at a
 //! caller-fixed `k`, which is the ENSEMFDET-FIX-K ablation of Figure 6.
 //!
-//! Interchangeable peeling engines back the loop (see [`crate::engine`]):
-//! the CSR hot path (default), its bit-identical O(E) bucket-queue twin,
-//! the tie-round-parallel bucket-batch variant, and the naive reference
-//! path; [`fdet_with_engine`] selects one explicitly.
+//! Two bit-identical peeling engines back the loop (see [`crate::engine`]):
+//! the CSR hot path (default) and the naive reference path;
+//! [`fdet_with_engine`] selects one explicitly.
 
 use crate::block::Block;
 use crate::engine::{Engine, FdetEngine};
@@ -131,12 +130,8 @@ pub fn fdet(g: &BipartiteGraph, metric: &dyn DensityMetric, truncation: Truncati
 }
 
 /// Runs FDET with an explicit peeling [`Engine`] — `Engine::Csr` (the
-/// [`fdet`] default), `Engine::Bucket`, `Engine::BucketBatch`, or the
-/// `Engine::Naive` reference path. All but `BucketBatch` produce
-/// bit-identical results, so choosing among them is only an A/B
-/// performance decision; `BucketBatch` matches up to tie-break order
-/// (same blocks structurally, scores equal within float tolerance — see
-/// [`crate::engine`] for the contract).
+/// [`fdet`] default) or the `Engine::Naive` reference path. Both produce
+/// bit-identical results (see [`crate::engine`] for the contract).
 ///
 /// Callers running FDET many times (ensembles, sweeps) should hold a
 /// [`FdetEngine`] instead and call [`FdetEngine::run`], which reuses the

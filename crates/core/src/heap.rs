@@ -17,12 +17,6 @@
 //!   4-ary array, which is what makes the high pop volume of lazy deletion
 //!   affordable.
 //!
-//! A third structure, [`crate::bucket::BucketQueue`], keeps the lazy-entry
-//! contract but shards the entries across exponent-indexed append logs,
-//! absorbing each bucket into one small frontier `LazyMinHeap` only when
-//! the minimum reaches it — trading the global `O(log n)` sift for
-//! near-constant routing (the bucket engine's linear-peel claim).
-//!
 //! Keys only ever decrease during a peel, so for every element the entry
 //! carrying its *current* key is the element's minimum entry — the first
 //! non-stale pop is exactly the pop [`IndexedMinHeap`] would deliver, which
@@ -324,17 +318,6 @@ impl LazyMinHeap {
         self.base.sort_unstable();
     }
 
-    /// Visits every pending entry — stale ones included — in unspecified
-    /// order. Callers filter against their own notion of staleness, exactly
-    /// as they do for [`pop`](Self::pop).
-    #[inline]
-    pub fn for_each_entry(&self, mut f: impl FnMut(f64, u32)) {
-        for &e in self.base[self.cursor..].iter().chain(self.entries.iter()) {
-            let (k, id) = Self::unpack(e);
-            f(k, id);
-        }
-    }
-
     /// Drops every entry that no longer carries its element's current key
     /// and restores the internal order invariants in O(n).
     ///
@@ -462,8 +445,6 @@ impl LazyMinHeap {
         }
         Some(Self::unpack(min))
     }
-
-
 
     fn sift_up(&mut self, mut i: usize) {
         let item = self.entries[i];

@@ -55,7 +55,6 @@
 
 pub mod aggregate;
 pub mod block;
-pub mod bucket;
 pub mod detector;
 pub mod engine;
 pub mod ensemble;
@@ -72,12 +71,10 @@ pub mod truncate;
 
 pub use aggregate::VoteTally;
 pub use block::Block;
-pub use bucket::BucketQueue;
 pub use detector::{DetectContext, Detector, DetectorOutput};
 pub use engine::{Engine, FdetEngine};
 pub use ensemble::{
-    EnsembleOutcome, EnsemFdet, EnsemFdetConfig, SamplePath, SampleSummary,
-    SamplingMethodConfig, StageTimings,
+    EnsembleOutcome, EnsemFdet, EnsemFdetConfig, SampleSummary, SamplingMethodConfig, StageTimings,
 };
 pub use evidence::EvidenceTally;
 pub use fdet::{fdet, fdet_with_engine, FdetResult, Truncation};

@@ -22,10 +22,7 @@
 use crate::http::{Request, Response};
 use crate::jobs::{EnqueueError, JobLookup, JobState, JobStore, JobView, ScanResultView, ScanSpec};
 use ensemfdet::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
-use ensemfdet::{
-    Engine as PeelEngine, EnsemFdet, EnsemFdetConfig, IncrementalPolicy, MonitorConfig, SamplePath,
-    ScoringConfig,
-};
+use ensemfdet::{EnsemFdet, EnsemFdetConfig, IncrementalPolicy, MonitorConfig, ScoringConfig};
 use ensemfdet_graph::loader::{parse_csv_record, split_line_chunks};
 use ensemfdet_graph::{ConcurrentTransactionInterner, GraphStats};
 use ensemfdet_telemetry::{ServiceMetrics, PROMETHEUS_CONTENT_TYPE};
@@ -243,8 +240,7 @@ impl Api {
                 "workers": c.workers,
                 "ingest_workers": c.ingest_workers,
                 "scan_overrides": [
-                    "num_samples", "sample_ratio", "threshold", "path", "engine", "mode",
-                    "workers", "scoring",
+                    "num_samples", "sample_ratio", "threshold", "mode", "workers", "scoring",
                 ],
             }),
         )
@@ -491,32 +487,6 @@ impl Api {
                         })?;
                     threshold = t as u32;
                 }
-                "path" => {
-                    let p = value
-                        .as_str()
-                        .and_then(|s| s.parse::<SamplePath>().ok())
-                        .ok_or_else(|| {
-                            Response::error(
-                                400,
-                                "invalid_config",
-                                "path must be \"mask\" or \"materialize\"",
-                            )
-                        })?;
-                    config.path = p;
-                }
-                "engine" => {
-                    let eng = value
-                        .as_str()
-                        .and_then(|s| s.parse::<PeelEngine>().ok())
-                        .ok_or_else(|| {
-                            Response::error(
-                                400,
-                                "invalid_config",
-                                "engine must be \"csr\", \"bucket\", \"bucket-batch\", or \"naive\"",
-                            )
-                        })?;
-                    config.engine = eng;
-                }
                 "mode" => {
                     incremental = match value.as_str() {
                         Some("full") => false,
@@ -550,7 +520,7 @@ impl Api {
                     return Err(Response::error(
                         400,
                         "invalid_config",
-                        format!("unknown override {other:?} (expected num_samples, sample_ratio, threshold, path, engine, mode, workers, scoring)"),
+                        format!("unknown override {other:?} (expected num_samples, sample_ratio, threshold, mode, workers, scoring)"),
                     ));
                 }
             }
@@ -828,7 +798,6 @@ fn result_json(r: &ScanResultView) -> Value {
         "scan_millis": r.scan_millis,
         "num_samples": r.config.num_samples,
         "sample_ratio": r.config.sample_ratio,
-        "engine": r.config.engine.name(),
         "workers": r.workers,
         "threshold": r.threshold,
         "mode": r.reuse.mode(),
@@ -1209,49 +1178,6 @@ mod tests {
         assert_eq!(done["result"]["num_samples"], 5);
         assert!(done["result"]["flagged"].as_array().unwrap().is_empty());
 
-        // Both sample paths are accepted and flag the same ring accounts
-        // (the mask path is the default; materialize is the reference).
-        let mut per_path = Vec::new();
-        for path in ["mask", "materialize"] {
-            let (status, body) =
-                post(&api, "/v1/scans", json!({ "path": path, "num_samples": 5 }));
-            assert_eq!(status, 202, "{body}");
-            let done = wait_done(&api, body["job_id"].as_u64().unwrap());
-            assert_eq!(done["status"], "done", "{done}");
-            let mut flagged: Vec<String> = done["result"]["flagged"]
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|v| v.as_str().unwrap().to_string())
-                .collect();
-            flagged.sort();
-            per_path.push(flagged);
-        }
-        assert_eq!(per_path[0], per_path[1], "paths disagree on flagged set");
-
-        // Every peel engine is selectable and flags the same ring (csr and
-        // bucket are bit-identical; bucket-batch by the score contract).
-        let mut per_engine = Vec::new();
-        for engine in ["csr", "bucket", "bucket-batch", "naive"] {
-            let (status, body) =
-                post(&api, "/v1/scans", json!({ "engine": engine, "num_samples": 5 }));
-            assert_eq!(status, 202, "{body}");
-            let done = wait_done(&api, body["job_id"].as_u64().unwrap());
-            assert_eq!(done["status"], "done", "{done}");
-            assert_eq!(done["result"]["engine"], engine, "{done}");
-            let mut flagged: Vec<String> = done["result"]["flagged"]
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|v| v.as_str().unwrap().to_string())
-                .collect();
-            flagged.sort();
-            per_engine.push(flagged);
-        }
-        for other in &per_engine[1..] {
-            assert_eq!(per_engine[0], *other, "engines disagree on flagged set");
-        }
-
         // Invalid overrides are 400 invalid_config.
         for bad in [
             json!({ "sample_ratio": 0.0 }),
@@ -1259,10 +1185,6 @@ mod tests {
             json!({ "sample_ratio": "half" }),
             json!({ "num_samples": 0 }),
             json!({ "threshold": -3 }),
-            json!({ "path": "mmap" }),
-            json!({ "path": 7 }),
-            json!({ "engine": "quantum" }),
-            json!({ "engine": 7 }),
             json!({ "mode": "turbo" }),
             json!({ "mode": 1 }),
             json!({ "workers": -1 }),
@@ -1274,6 +1196,16 @@ mod tests {
             let (status, body) = post(&api, "/v1/scans", bad.clone());
             assert_eq!(status, 400, "override {bad} accepted: {body}");
             assert_eq!(body["error"]["code"], "invalid_config", "{body}");
+        }
+
+        // `engine` and `path` are not overrides: they get the unknown-key
+        // 400 rather than being silently accepted.
+        for removed in [json!({ "engine": "csr" }), json!({ "path": "mask" })] {
+            let (status, body) = post(&api, "/v1/scans", removed.clone());
+            assert_eq!(status, 400, "override {removed} accepted: {body}");
+            assert_eq!(body["error"]["code"], "invalid_config", "{body}");
+            let message = body["error"]["message"].as_str().unwrap();
+            assert!(message.starts_with("unknown override"), "{body}");
         }
     }
 
@@ -1389,9 +1321,9 @@ mod tests {
         assert_eq!(body["alert_threshold"], 15);
         assert_eq!(body["scan_queue_capacity"], 8);
         let overrides = body["scan_overrides"].as_array().unwrap();
-        assert_eq!(overrides.len(), 8);
-        assert!(overrides.iter().any(|v| v == "path"));
-        assert!(overrides.iter().any(|v| v == "engine"));
+        assert_eq!(overrides.len(), 6);
+        assert!(!overrides.iter().any(|v| v == "path"));
+        assert!(!overrides.iter().any(|v| v == "engine"));
         assert!(overrides.iter().any(|v| v == "mode"));
         assert!(overrides.iter().any(|v| v == "workers"));
         assert!(overrides.iter().any(|v| v == "scoring"));

@@ -303,12 +303,12 @@ pub struct ServiceMetrics {
     pub scan_job_duration: Histogram,
     /// Time scan jobs spend queued before the executor picks them up.
     pub scan_queue_wait: Histogram,
-    /// Per-scan sampling-stage duration (spec drawing on the mask path;
-    /// includes full subgraph construction when materializing).
+    /// Per-scan sampling-stage duration: drawing every sample's spec
+    /// (compaction into the peel view is part of detection).
     pub sampling_duration: Histogram,
-    /// Bytes of per-sample state materialized across all scans:
-    /// selection vectors on the mask path, full subgraph buffers and
-    /// intern maps on the materializing path.
+    /// Bytes of per-sample selection state (the specs' edge/node subset
+    /// vectors) summed across all scans. The name predates the mask path;
+    /// no sample is materialized.
     pub sample_bytes_materialized: Counter,
     /// Scans that actually ran the incremental per-sample reuse path.
     pub scans_incremental: Counter,
@@ -411,8 +411,8 @@ impl ServiceMetrics {
     }
 
     /// Records one scan's sampling cost: the sampling-stage duration and
-    /// the bytes of per-sample state it materialized (from the ensemble's
-    /// `sample_bytes` diagnostics).
+    /// the bytes of per-sample selection state it drew (from the
+    /// ensemble's `sample_bytes` diagnostics).
     pub fn record_sampling(&self, sampling: Duration, bytes: u64) {
         self.sampling_duration.observe_duration(sampling);
         self.sample_bytes_materialized.add(bytes);
@@ -572,7 +572,7 @@ impl ServiceMetrics {
         write_counter(
             &mut out,
             "ensemfdet_sample_bytes_materialized_total",
-            "Bytes of per-sample state materialized across all scans.",
+            "Bytes of per-sample selection state (sample spec footprint) drawn across all scans.",
             self.sample_bytes_materialized.get(),
         );
         write_counter(

@@ -1,64 +1,28 @@
-//! The CSR and bucket engines must be drop-in replacements for the naive
-//! reference path: identical blocks, identical scores, identical ensemble
-//! votes — not merely statistically similar. The batched bucket engine is
-//! held to the documented score-equality contract instead (same curve
-//! shape, scores equal within float tolerance), because its tie rounds
-//! may legitimately reorder removals. `bench_suite` relies on these gates
+//! The CSR engine must be a drop-in replacement for the naive reference
+//! path: identical blocks, identical scores, identical ensemble votes —
+//! not merely statistically similar. `bench_suite` relies on these gates
 //! before timing the engines against each other.
 //!
-//! The final test cross-checks the three priority-queue implementations
-//! themselves ([`IndexedMinHeap`], [`LazyMinHeap`], [`BucketQueue`])
-//! under a randomized decrease-key workload with heavy ties: filtered
-//! through the lazy-deletion protocol, all three must deliver the exact
-//! same `(key, element)` pop sequence.
+//! The final test cross-checks the two priority-queue implementations
+//! themselves ([`IndexedMinHeap`], [`LazyMinHeap`]) under a randomized
+//! decrease-key workload with heavy ties: filtered through the
+//! lazy-deletion protocol, the lazy heap must deliver the exact same
+//! `(key, element)` pop sequence as the indexed one.
 
 use ensemfdet::fdet::Truncation;
 use ensemfdet::heap::{IndexedMinHeap, LazyMinHeap};
-use ensemfdet::{
-    fdet_with_engine, BucketQueue, Engine, EnsemFdet, EnsemFdetConfig, FdetResult, MetricKind,
-};
+use ensemfdet::{fdet_with_engine, Engine, EnsemFdet, EnsemFdetConfig, MetricKind};
 use ensemfdet_datagen::generate;
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_graph::BipartiteGraph;
 
 const SEEDS: [u64; 3] = [11, 4242, 0xDEAD_BEEF];
 
-/// All engines under the *bit-identical* contract.
-const EXACT_ENGINES: [Engine; 3] = [Engine::Naive, Engine::Csr, Engine::Bucket];
+/// Every engine; all are held to the *bit-identical* contract.
+const ENGINES: [Engine; 2] = [Engine::Naive, Engine::Csr];
 
 fn preset_graph(which: JdDataset, seed: u64) -> BipartiteGraph {
     generate(&jd_preset(which, 400, seed)).graph
-}
-
-/// The strict form of the `Engine::BucketBatch` score gate: identical
-/// curve shape with every score equal within 1e-9 relative. Holds when no
-/// tie-split changes a peeled block's membership (e.g. the weighted graph
-/// below); the JD presets get the weaker leading-block gate instead.
-fn assert_score_equal(reference: &FdetResult, batch: &FdetResult, ctx: &str) {
-    assert_eq!(batch.k_hat, reference.k_hat, "{ctx}: k_hat");
-    assert_eq!(batch.scores.len(), reference.scores.len(), "{ctx}: curve length");
-    assert_batch_scores(reference, batch, reference.scores.len(), ctx);
-}
-
-/// The documented `Engine::BucketBatch` gate on the first `upto` blocks:
-/// each scores equal to the reference within 1e-9 relative. Trailing
-/// noise blocks past the truncating point may diverge once a tie-split
-/// hands the engines different residual graphs (see `crate::engine` docs).
-fn assert_batch_scores(reference: &FdetResult, batch: &FdetResult, upto: usize, ctx: &str) {
-    assert!(
-        reference.scores.len() >= upto && batch.scores.len() >= upto,
-        "{ctx}: curves shorter than the gated prefix ({} / {} < {upto})",
-        reference.scores.len(),
-        batch.scores.len(),
-    );
-    for i in 0..upto {
-        let (a, b) = (reference.scores[i], batch.scores[i]);
-        let tol = 1e-9 * a.abs().max(1.0);
-        assert!(
-            (a - b).abs() <= tol,
-            "{ctx}: score {i} diverged ({a} vs {b})"
-        );
-    }
 }
 
 #[test]
@@ -74,27 +38,10 @@ fn fdet_blocks_and_scores_identical_across_engines() {
                 let ctx = format!("{which:?}, seed {seed}, {truncation:?}");
                 let naive =
                     fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Naive);
-                for engine in [Engine::Csr, Engine::Bucket] {
-                    let r = fdet_with_engine(&g, &MetricKind::default(), truncation, engine);
-                    assert_eq!(r.blocks, naive.blocks, "{engine:?} blocks diverged ({ctx})");
-                    assert_eq!(r.scores, naive.scores, "{engine:?} scores diverged ({ctx})");
-                    assert_eq!(r.k_hat, naive.k_hat, "{engine:?} k_hat diverged ({ctx})");
-                }
-                let batch = fdet_with_engine(
-                    &g,
-                    &MetricKind::default(),
-                    truncation,
-                    Engine::BucketBatch,
-                );
-                // Auto truncation: the engines must agree on the retained
-                // set — same k̂, score-equal retained blocks. Elsewhere the
-                // gate is the leading (densest) block.
-                if matches!(truncation, Truncation::Auto { .. }) {
-                    assert_eq!(batch.k_hat, naive.k_hat, "batch k_hat diverged ({ctx})");
-                    assert_batch_scores(&naive, &batch, naive.k_hat, &ctx);
-                } else {
-                    assert_batch_scores(&naive, &batch, 1, &ctx);
-                }
+                let r = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Csr);
+                assert_eq!(r.blocks, naive.blocks, "csr blocks diverged ({ctx})");
+                assert_eq!(r.scores, naive.scores, "csr scores diverged ({ctx})");
+                assert_eq!(r.k_hat, naive.k_hat, "csr k_hat diverged ({ctx})");
             }
         }
     }
@@ -115,18 +62,16 @@ fn ensemble_votes_identical_across_engines() {
             .detect(&g)
         };
         let reference = run(Engine::Naive);
+        let outcome = run(Engine::Csr);
         let k_hats = |o: &ensemfdet::EnsembleOutcome| -> Vec<usize> {
             o.samples.iter().map(|s| s.k_hat).collect()
         };
-        for engine in [Engine::Csr, Engine::Bucket] {
-            let outcome = run(engine);
-            assert_eq!(
-                outcome.votes.user_scores(),
-                reference.votes.user_scores(),
-                "{engine:?} ensemble votes diverged (seed {seed})"
-            );
-            assert_eq!(k_hats(&outcome), k_hats(&reference), "{engine:?} k̂s (seed {seed})");
-        }
+        assert_eq!(
+            outcome.votes.user_scores(),
+            reference.votes.user_scores(),
+            "csr ensemble votes diverged (seed {seed})"
+        );
+        assert_eq!(k_hats(&outcome), k_hats(&reference), "csr k̂s (seed {seed})");
     }
 }
 
@@ -141,21 +86,25 @@ fn weighted_graph_identical_across_engines() {
     let g = BipartiteGraph::from_weighted_edges(48, 11, edges, weights).unwrap();
     let run = |e| fdet_with_engine(&g, &MetricKind::default(), Truncation::KeepAll { k_max: 10 }, e);
     let naive = run(Engine::Naive);
-    for engine in [Engine::Csr, Engine::Bucket] {
-        let r = run(engine);
-        assert_eq!(r.blocks, naive.blocks, "{engine:?} blocks");
-        assert_eq!(r.scores, naive.scores, "{engine:?} scores");
-    }
-    assert_score_equal(&naive, &run(Engine::BucketBatch), "weighted batch");
+    let csr = run(Engine::Csr);
+    assert_eq!(csr.blocks, naive.blocks, "csr blocks");
+    assert_eq!(csr.scores, naive.scores, "csr scores");
 }
 
-/// Sanity: the exact-contract list and the parser agree on the engine set.
+/// Sanity: the gated engine list covers every variant. The match is
+/// exhaustive, so a new `Engine` variant fails to compile here until the
+/// list (and with it every gate above) names it.
 #[test]
 fn engine_matrix_covers_every_variant() {
-    for e in EXACT_ENGINES {
-        assert!(e.name().parse::<Engine>().unwrap() == e);
+    for (i, e) in ENGINES.into_iter().enumerate() {
+        let slot = match e {
+            Engine::Naive => 0,
+            Engine::Csr => 1,
+        };
+        assert_eq!(slot, i, "{e:?}");
     }
-    assert_eq!("bucket-batch".parse::<Engine>().unwrap(), Engine::BucketBatch);
+    assert_eq!(ENGINES.map(Engine::name), ["naive", "csr"]);
+    assert_eq!(Engine::default(), Engine::Csr);
 }
 
 /// Splitmix-style deterministic RNG — no external crates in the tests.
@@ -167,14 +116,14 @@ fn next_rand(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Randomized decrease-key cross-check of the three queue structures.
+/// Randomized decrease-key cross-check of the two heap structures.
 ///
-/// [`IndexedMinHeap`] is the exact oracle (in-place `update_key`). The two
-/// lazy structures follow the peel protocol: every decrease is a fresh
-/// push, and pops are filtered against the caller's current-key array.
-/// Keys are quantized to multiples of 1/8 so ties are frequent and float
-/// comparisons are exact; tie order must fall back to element id in all
-/// three structures.
+/// [`IndexedMinHeap`] is the exact oracle (in-place `update_key`). The lazy
+/// heap follows the peel protocol: every decrease is a fresh push, and
+/// pops are filtered against the caller's current-key array. Keys are
+/// quantized to multiples of 1/8 so ties are frequent and float
+/// comparisons are exact; tie order must fall back to element id in both
+/// structures.
 #[test]
 fn queue_implementations_agree_on_pop_order() {
     for seed in [1u64, 77, 0xFEED_F00D] {
@@ -189,15 +138,10 @@ fn queue_implementations_agree_on_pop_order() {
         let mut oracle = IndexedMinHeap::from_keys(&current);
         let mut lazy = LazyMinHeap::new();
         lazy.fill((0..n as u32).map(|i| (i, current[i as usize])));
-        let mut bucket = BucketQueue::new();
-        bucket.fill((0..n as u32).map(|i| (i, current[i as usize])));
 
-        // Pops a current (non-stale, still-alive) entry from a lazy queue.
-        let lazy_pop = |q: &mut dyn FnMut() -> Option<(f64, u32)>,
-                        current: &[f64],
-                        alive: &[bool]|
-         -> Option<(f64, u32)> {
-            while let Some((k, id)) = q() {
+        // Pops a current (non-stale, still-alive) entry from the lazy heap.
+        let lazy_pop = |q: &mut LazyMinHeap, current: &[f64], alive: &[bool]| {
+            while let Some((k, id)) = q.pop() {
                 let i = id as usize;
                 if alive[i] && current[i].to_bits() == k.to_bits() {
                     return Some((k, id));
@@ -223,29 +167,19 @@ fn queue_implementations_agree_on_pop_order() {
                 current[victim] = k;
                 oracle.update_key(victim, k);
                 lazy.push(victim as u32, k);
-                bucket.push(victim as u32, k);
             } else {
                 let (oe, ok) = oracle.pop_min().expect("oracle drained early");
-                let (lk, le) =
-                    lazy_pop(&mut || lazy.pop(), &current, &alive).expect("lazy drained early");
-                let (bk, be) = lazy_pop(&mut || bucket.pop(), &current, &alive)
-                    .expect("bucket drained early");
+                let (lk, le) = lazy_pop(&mut lazy, &current, &alive).expect("lazy drained early");
                 assert_eq!(
                     (le, lk.to_bits()),
                     (oe as u32, ok.to_bits()),
                     "lazy heap diverged from oracle (seed {seed}, pop {popped})"
-                );
-                assert_eq!(
-                    (be, bk.to_bits()),
-                    (oe as u32, ok.to_bits()),
-                    "bucket queue diverged from oracle (seed {seed}, pop {popped})"
                 );
                 alive[oe] = false;
                 popped += 1;
             }
         }
         assert!(oracle.is_empty());
-        assert!(lazy_pop(&mut || lazy.pop(), &current, &alive).is_none());
-        assert!(lazy_pop(&mut || bucket.pop(), &current, &alive).is_none());
+        assert!(lazy_pop(&mut lazy, &current, &alive).is_none());
     }
 }

@@ -6,7 +6,7 @@
 
 use ensemfdet::metric::LogWeightedMetric;
 use ensemfdet::peel::density_of_subset;
-use ensemfdet::{EnsemFdet, EnsemFdetConfig, SamplePath, SamplingMethodConfig};
+use ensemfdet::{Engine, EnsemFdet, EnsemFdetConfig, SamplingMethodConfig};
 use ensemfdet_datagen::generate;
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_graph::{MerchantId, UserId};
@@ -127,7 +127,7 @@ fn ensemble_votes_are_thread_count_invariant() {
     let ds = generate(&jd_preset(JdDataset::Jd1, 400, 21));
     let g = &ds.graph;
 
-    for path in [SamplePath::Mask, SamplePath::Materialize] {
+    for engine in [Engine::Csr, Engine::Naive] {
         for method in [
             SamplingMethodConfig::RandomEdge,
             SamplingMethodConfig::OneSideUser,
@@ -138,18 +138,18 @@ fn ensemble_votes_are_thread_count_invariant() {
                 sample_ratio: 0.3,
                 seed: 0x5EED,
                 method,
-                path,
+                engine,
                 ..Default::default()
             };
             let parallel = EnsemFdet::with_workers(cfg, 4).detect(g);
             let serial = EnsemFdet::with_workers(cfg, 1).detect(g);
             assert_eq!(
                 parallel.votes, serial.votes,
-                "{method:?}/{path}: votes changed with thread count"
+                "{method:?}/{engine:?}: votes changed with thread count"
             );
             assert_eq!(
                 parallel.evidence.user_evidence, serial.evidence.user_evidence,
-                "{method:?}/{path}: evidence changed with thread count"
+                "{method:?}/{engine:?}: evidence changed with thread count"
             );
             let summarize = |o: &ensemfdet::EnsembleOutcome| {
                 o.samples
@@ -160,15 +160,16 @@ fn ensemble_votes_are_thread_count_invariant() {
             assert_eq!(
                 summarize(&parallel),
                 summarize(&serial),
-                "{method:?}/{path}: per-sample results changed with thread count"
+                "{method:?}/{engine:?}: per-sample results changed with thread count"
             );
         }
     }
 }
 
-/// The two sample paths agree on real generated data end to end, and the
-/// mask path's per-sample bookkeeping stays proportional to the sample
-/// selection rather than the parent graph.
+/// The mask path (CSR engine) agrees with the naive engine's materializing
+/// path on real generated data end to end, and its per-sample bookkeeping
+/// stays proportional to the sample selection rather than the parent
+/// graph.
 #[test]
 fn sample_paths_agree_on_generated_data() {
     let ds = generate(&jd_preset(JdDataset::Jd1, 400, 22));
@@ -179,9 +180,8 @@ fn sample_paths_agree_on_generated_data() {
         seed: 99,
         ..Default::default()
     };
-    cfg.path = SamplePath::Mask;
     let mask = EnsemFdet::new(cfg).detect(g);
-    cfg.path = SamplePath::Materialize;
+    cfg.engine = Engine::Naive;
     let mat = EnsemFdet::new(cfg).detect(g);
     assert_eq!(mask.votes, mat.votes);
     assert!(

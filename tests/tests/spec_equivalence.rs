@@ -7,15 +7,16 @@
 //!
 //! * **engine level** — `FdetEngine::run_spec(parent, spec)` against
 //!   `FdetEngine::run(spec.materialize(parent))`, block by block;
-//! * **ensemble level** — `EnsemFdet::detect` with
-//!   `SamplePath::Mask` against `SamplePath::Materialize`, vote by vote.
+//! * **ensemble level** — `EnsemFdet::detect` under the default config
+//!   (CSR engine, mask path) against `Engine::Naive`, which materializes
+//!   every sample, vote by vote.
 //!
 //! Both weighted and unweighted parents are covered: the spec-built view
 //! must reproduce the materialized constructors' weight-carry rules.
 
 use ensemfdet::engine::FdetEngine;
 use ensemfdet::metric::LogWeightedMetric;
-use ensemfdet::{EnsemFdet, EnsemFdetConfig, SamplePath, SamplingMethodConfig, Truncation};
+use ensemfdet::{Engine, EnsemFdet, EnsemFdetConfig, SamplingMethodConfig, Truncation};
 use ensemfdet_datagen::generate;
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_graph::{BipartiteGraph, SampleMaps, SampleSpec};
@@ -79,7 +80,7 @@ fn check_engine_level(parent: &BipartiteGraph) {
                         &spec,
                         &metric,
                         truncation,
-                        ensemfdet::Engine::Csr,
+                        Engine::Csr,
                         &mut maps,
                     );
 
@@ -88,7 +89,7 @@ fn check_engine_level(parent: &BipartiteGraph) {
                         &sampled.graph,
                         &metric,
                         truncation,
-                        ensemfdet::Engine::Csr,
+                        Engine::Csr,
                     );
 
                     let ctx = format!("{method:?} seed {seed} S {ratio} {truncation:?}");
@@ -122,8 +123,9 @@ fn check_engine_level(parent: &BipartiteGraph) {
     }
 }
 
-/// Ensemble level: `detect` under the two paths must produce identical
-/// vote tallies, evidence, and per-sample diagnostics.
+/// Ensemble level: `detect` on the mask path (the default config) and on
+/// the naive engine's materializing path must produce identical vote
+/// tallies, evidence, and per-sample diagnostics.
 fn check_ensemble_level(parent: &BipartiteGraph) {
     for method in [
         SamplingMethodConfig::RandomEdge,
@@ -140,9 +142,8 @@ fn check_ensemble_level(parent: &BipartiteGraph) {
                     method,
                     ..Default::default()
                 };
-                cfg.path = SamplePath::Mask;
                 let mask = EnsemFdet::new(cfg).detect(parent);
-                cfg.path = SamplePath::Materialize;
+                cfg.engine = Engine::Naive;
                 let mat = EnsemFdet::new(cfg).detect(parent);
 
                 let ctx = format!("{method:?} seed {seed} S {ratio}");
